@@ -13,9 +13,7 @@ from ptliouville import (
     Injection,
     ModelSpec,
     build_model,
-    build_shifted_liouvillian,
     check_pt_pairing,
-    eigen_spectrum,
     liouvillian_spectra,
 )
 
@@ -36,8 +34,7 @@ def main():
     for ev, evp in zip(result.eig_liouvillian, result.eig_shifted):
         print(f"  {ev.real:+.6f}{ev.imag:+.6f}i    {evp.real:+.6f}{evp.imag:+.6f}i")
 
-    eigs = eigen_spectrum(build_shifted_liouvillian(model))
-    pairing = check_pt_pairing(eigs, tol=1e-8)
+    pairing = check_pt_pairing(result.eig_shifted, tol=1e-8)
     print()
     print(f"mirror pairing max distance = {pairing.max_distance:.3e}")
     on_axis = sum(1 for lam, partner in pairing.pairs if lam == partner)

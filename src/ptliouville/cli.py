@@ -17,7 +17,6 @@ from .errors import ModelConfigError, PTLiouvilleError, UncertifiedModelError
 from .lemma_checker import check_lemma
 from .model_builder import Model, ModelSpec, build_model, parse_model_config
 from .spectral_analysis import (
-    ScanResult,
     hamiltonian_eigenbasis,
     liouvillian_spectra,
     scan_pt_breaking,
@@ -141,13 +140,6 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _scan_tail(result: ScanResult) -> dict:
-    return {
-        "gamma_pt": result.gamma_pt,
-        "bracket": None if result.bracket is None else list(result.bracket),
-    }
-
-
 def cmd_scan(args) -> int:
     spec = _load_spec(args)
     try:
@@ -166,7 +158,9 @@ def cmd_scan(args) -> int:
         lines += [
             f"{format_float(p.lam)},{p.n_imag_axis},{p.classification}" for p in result.probes
         ]
-        lines.append(dumps_canonical(_scan_tail(result)))
+        tail = result.to_json_dict()
+        del tail["probes"]
+        lines.append(dumps_canonical(tail))
         _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit(dumps_canonical(result.to_json_dict()) + "\n", args.out)

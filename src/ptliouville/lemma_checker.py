@@ -28,7 +28,6 @@ from .pauli_algebra import (
     anticommutator,
     as_identity_multiple,
     commutator,
-    dagger,
 )
 
 TOL_CERT = 1e-10
@@ -117,9 +116,9 @@ def check_condition_i(model: Model, tol: float = TOL_CERT) -> ConditionIReport:
     """Unitarity and involutivity of U, W plus commutation with H."""
     ident = PauliOperator.identity(model.n)
     residuals = {
-        "u_unitary": (model.u @ dagger(model.u) - ident).max_norm(),
+        "u_unitary": (model.u @ model.u.dagger() - ident).max_norm(),
         "u_involution": (model.u @ model.u - ident).max_norm(),
-        "w_unitary": (model.w @ dagger(model.w) - ident).max_norm(),
+        "w_unitary": (model.w @ model.w.dagger() - ident).max_norm(),
         "w_involution": (model.w @ model.w - ident).max_norm(),
         "hu_commutator": commutator(model.hamiltonian, model.u).max_norm(),
         "hw_commutator": commutator(model.hamiltonian, model.w).max_norm(),
@@ -157,7 +156,7 @@ def solve_reflection_matrix(model: Model, tol: float = TOL_CERT) -> ReflectionMa
         empty = np.zeros((0, 0))
         return ReflectionMatrix(empty, 0.0, 0.0, 0.0, 0.0)
 
-    adjoints = [dagger(lm) for lm in model.lindblads]
+    adjoints = [lm.dagger() for lm in model.lindblads]
     targets_u = [-(model.u @ lm @ model.u) for lm in model.lindblads]
     targets_w = [model.w @ lm @ model.w for lm in model.lindblads]
 
@@ -198,7 +197,7 @@ def check_condition_iii(model: Model, tol: float = TOL_CERT) -> ConditionIIIRepo
     constants = []
     residuals = []
     for idx, lm in enumerate(model.lindblads):
-        acomm = anticommutator(lm, dagger(lm))
+        acomm = anticommutator(lm, lm.dagger())
         value = as_identity_multiple(acomm)
         if value is None:
             ident = "I" * model.n

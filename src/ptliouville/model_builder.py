@@ -11,6 +11,7 @@ Model type.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -19,7 +20,6 @@ from .pauli_algebra import (
     PauliOperator,
     anticommutator,
     as_identity_multiple,
-    dagger,
     sigma_minus,
     sigma_plus,
 )
@@ -122,7 +122,7 @@ def channel_constants(lindblads) -> Optional[tuple[float, ...]]:
     """c_m with {L_m, L_m^dag} = c_m * identity, or None if any channel fails."""
     cs = []
     for lm in lindblads:
-        val = as_identity_multiple(anticommutator(lm, dagger(lm)))
+        val = as_identity_multiple(anticommutator(lm, lm.dagger()))
         if val is None:
             return None
         cs.append(val.real)
@@ -269,13 +269,21 @@ def _require_keys(obj: dict, allowed: set, where: str) -> None:
 def _as_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ModelConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    # JSON admits NaN, Infinity and overflowing literals such as 1e400; a
+    # non-finite coefficient would be pruned or poison every dense solve
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ModelConfigError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def _as_rate(value, where: str) -> complex:
-    """A rate is a real number or a [re, im] pair."""
+    """A rate is a finite real number or a [re, im] pair of them."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_as_number(value, where))
     if isinstance(value, list) and len(value) == 2:
         return complex(_as_number(value[0], where), _as_number(value[1], where))
     raise ModelConfigError(f"{where}: expected a real or [re, im] pair, got {value!r}")

@@ -188,21 +188,12 @@ class PauliOperator:
         return f"PauliOperator(n={self.n}, {' + '.join(parts)})"
 
 
-def op_mul(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-    """Operator product, the bilinear extension of string_mul."""
-    return a @ b
-
-
 def commutator(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     return a @ b - b @ a
 
 
 def anticommutator(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     return a @ b + b @ a
-
-
-def dagger(a: PauliOperator) -> PauliOperator:
-    return a.dagger()
 
 
 def as_identity_multiple(a: PauliOperator) -> Optional[complex]:

@@ -53,16 +53,25 @@ def canonical_sort(eigs, re_tol: float = SORT_RE_TOL) -> np.ndarray:
     return arr[order][final]
 
 
+def _eigvals(mat) -> np.ndarray:
+    """Unsorted eigenvalues of a dense matrix; every generator spectrum is solved here.
+
+    Rejects non-finite entries with ValueError.  Solver non-convergence
+    surfaces as numpy.linalg.LinAlgError.
+    """
+    mat = np.asarray(mat)
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("superoperator matrix contains non-finite entries")
+    return np.linalg.eigvals(mat)
+
+
 def eigen_spectrum(superop, re_tol: float = SORT_RE_TOL) -> np.ndarray:
     """Complete eigenvalue set of a dense superoperator, canonically sorted.
 
-    Accepts a SuperOp or a plain square matrix.  Solver non-convergence
-    surfaces as numpy.linalg.LinAlgError.
+    Accepts a SuperOp or a plain square matrix.
     """
-    mat = superop.mat if isinstance(superop, SuperOp) else np.asarray(superop)
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("superoperator matrix contains non-finite entries")
-    return canonical_sort(np.linalg.eigvals(mat), re_tol)
+    mat = superop.mat if isinstance(superop, SuperOp) else superop
+    return canonical_sort(_eigvals(mat), re_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +231,8 @@ def liouvillian_spectra(model: Model, re_tol: float = SORT_RE_TOL) -> SpectrumRe
     """
     base = build_liouvillian(model).mat
     shift = identity_component_shift(model)
-    eig_l = canonical_sort(np.linalg.eigvals(base), re_tol)
-    eig_lp = canonical_sort(np.linalg.eigvals(base + shift * np.eye(base.shape[0])), re_tol)
+    eig_l = eigen_spectrum(base, re_tol)
+    eig_lp = eigen_spectrum(base + shift * np.eye(base.shape[0]), re_tol)
     deviation = float(np.max(np.abs(eig_lp - (eig_l + shift)))) if eig_l.size else 0.0
     return SpectrumResult(model.n, eig_l, eig_lp, shift, deviation)
 
@@ -262,6 +271,18 @@ class ScanResult:
         }
 
 
+def _imaginary_axis_count(model: Model, tol_im: float) -> tuple[np.ndarray, int]:
+    """Eigenvalues of the shifted generator L' and how many sit on the imaginary axis.
+
+    Classification and the uniform rate both count here, so UNBROKEN holds
+    exactly when a uniform rate exists.
+    """
+    shifted = build_shifted_liouvillian(model).mat
+    eigs = _eigvals(shifted)
+    threshold = tol_im * float(np.linalg.norm(shifted))
+    return eigs, int(np.sum(np.abs(eigs.real) < threshold))
+
+
 def classify_pt_phase(model: Model, tol_im: float = TOL_IM) -> PhaseClassification:
     """UNBROKEN iff at least N^2 - N shifted eigenvalues sit on the imaginary axis.
 
@@ -269,10 +290,7 @@ def classify_pt_phase(model: Model, tol_im: float = TOL_IM) -> PhaseClassificati
     shifted generator; the count criterion is order-free on purpose, since
     population and coherence sectors mix at finite coupling.
     """
-    shifted = build_shifted_liouvillian(model).mat
-    eigs = np.linalg.eigvals(shifted)
-    threshold = tol_im * float(np.linalg.norm(shifted))
-    count = int(np.sum(np.abs(eigs.real) < threshold))
+    _, count = _imaginary_axis_count(model, tol_im)
     dim = 2 ** model.n
     label = UNBROKEN if count >= dim * dim - dim else BROKEN
     return PhaseClassification(count, label)
@@ -334,18 +352,15 @@ class UniformRateReport:
 def check_uniform_rate(model: Model, tol_im: float = TOL_IM) -> UniformRateReport:
     """Verify the N^2 - N coherence eigenvalues share the decay rate sum(c_m).
 
-    Selects the eigenvalues of L closest to the imaginary axis after the
-    constant shift and compares their real parts to -sum(c_m).  Raises
+    Selects the shifted eigenvalues closest to the imaginary axis; their
+    real parts must vanish, i.e. those of L equal -sum(c_m).  Raises
     BrokenPhaseError when the model does not classify UNBROKEN.
     """
     shift = channel_shift(model)
-    base = build_liouvillian(model).mat
-    eigs = np.linalg.eigvals(base)
-    shifted = eigs + shift
+    shifted, count = _imaginary_axis_count(model, tol_im)
     dim = 2 ** model.n
     n_coh = dim * dim - dim
-    threshold = tol_im * float(np.linalg.norm(base + shift * np.eye(base.shape[0])))
-    if int(np.sum(np.abs(shifted.real) < threshold)) < n_coh:
+    if count < n_coh:
         raise BrokenPhaseError(
             "model classifies BROKEN at this noise scale; no uniform coherence rate exists"
         )
@@ -389,7 +404,7 @@ def match_bohr_frequencies(
     energies = np.asarray(basis.energies, dtype=float)
     count = energies.size
     level_pairs = [(j, k) for j in range(count) for k in range(count) if j != k]
-    eigs = np.linalg.eigvals(build_liouvillian(model).mat)
+    eigs = _eigvals(build_liouvillian(model).mat)
     bohr = np.array([energies[k] - energies[j] for j, k in level_pairs])
     cost = np.abs(eigs.imag[:, None] - bohr[None, :])
     rows, cols = linear_sum_assignment(cost)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionError, UncertifiedModelError
 from .model_builder import Model
-from .pauli_algebra import PauliOperator, anticommutator, dagger
+from .pauli_algebra import PauliOperator, anticommutator
 
 _SITE = {
     "I": np.eye(2, dtype=complex),
@@ -38,7 +38,6 @@ class SuperOp:
 
     n: int
     mat: np.ndarray
-    convention: str = "column-stacking"
 
 
 def pauli_to_dense(op: PauliOperator) -> np.ndarray:
@@ -82,25 +81,6 @@ def build_liouvillian(model: Model) -> SuperOp:
     return SuperOp(model.n, mat)
 
 
-def apply_liouvillian_direct(model: Model, rho: np.ndarray) -> np.ndarray:
-    """Independent oracle: evaluate the generator by plain matrix products.
-
-    This deliberately shares no code with build_liouvillian; the column test
-    unvec(L vec(rho)) == apply_liouvillian_direct(rho) pins the vectorization.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    dim = 2 ** model.n
-    if rho.shape != (dim, dim):
-        raise DimensionError(f"rho has shape {rho.shape}, expected ({dim}, {dim})")
-    hd = pauli_to_dense(model.hamiltonian)
-    out = -1j * (hd @ rho - rho @ hd)
-    for lm in model.lindblads:
-        ld = pauli_to_dense(lm)
-        ldl = ld.conj().T @ ld
-        out += 2 * ld @ rho @ ld.conj().T - ldl @ rho - rho @ ldl
-    return out
-
-
 def channel_shift(model: Model) -> float:
     """Sum of the certified channel constants c_m; strict."""
     if model.c is None:
@@ -120,7 +100,7 @@ def identity_component_shift(model: Model) -> float:
     ident = "I" * model.n
     total = 0.0
     for lm in model.lindblads:
-        acomm = anticommutator(lm, dagger(lm))
+        acomm = anticommutator(lm, lm.dagger())
         total += acomm.terms.get(ident, 0j).real
     return total
 

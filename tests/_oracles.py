@@ -34,22 +34,36 @@ def dense_operator(op) -> np.ndarray:
     return out
 
 
+def _generator_action(h_mat, lindblad_mats, rho):
+    """-i[H, rho] + sum(2 L rho L+ - {L+L, rho}) by plain matrix products."""
+    acc = -1j * (h_mat @ rho - rho @ h_mat)
+    for lm in lindblad_mats:
+        ldl = lm.conj().T @ lm
+        acc += 2 * lm @ rho @ lm.conj().T - ldl @ rho - rho @ ldl
+    return acc
+
+
+def apply_generator(model, rho) -> np.ndarray:
+    """The model's generator applied to rho, with dense images from dense_operator."""
+    return _generator_action(
+        dense_operator(model.hamiltonian),
+        [dense_operator(lm) for lm in model.lindblads],
+        np.asarray(rho, dtype=complex),
+    )
+
+
 def generator_matrix(h_mat, lindblad_mats):
     """Column-by-column generator matrix from plain matrix products.
 
-    Applies -i[H, rho] + sum(2 L rho L+ - {L+L, rho}) to every matrix unit
-    E_ab and stacks the column-vectorized results.
+    Applies the generator to every matrix unit E_ab and stacks the
+    column-vectorized results.
     """
     dim = h_mat.shape[0]
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
     for col in range(dim * dim):
         unit = np.zeros((dim, dim), dtype=complex)
         unit[col % dim, col // dim] = 1.0  # column-stacked basis matrix
-        acc = -1j * (h_mat @ unit - unit @ h_mat)
-        for lm in lindblad_mats:
-            ldl = lm.conj().T @ lm
-            acc += 2 * lm @ unit @ lm.conj().T - ldl @ unit - unit @ ldl
-        out[:, col] = acc.ravel(order="F")
+        out[:, col] = _generator_action(h_mat, lindblad_mats, unit).ravel(order="F")
     return out
 
 

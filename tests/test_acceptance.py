@@ -18,7 +18,6 @@ from ptliouville import (
     Injection,
     ModelSpec,
     PauliOperator,
-    apply_liouvillian_direct,
     build_liouvillian,
     build_model,
     build_shifted_liouvillian,
@@ -39,7 +38,7 @@ from ptliouville import (
 )
 
 from _corpus import mixed_corpus, random_example1_spec, random_example2_spec
-from _oracles import bloch_transition_scale, dense_operator, generator_matrix
+from _oracles import apply_generator, bloch_transition_scale, dense_operator, generator_matrix
 
 CORPUS_SEED = 20240817
 _CACHE = {}
@@ -312,7 +311,7 @@ def test_criterion_7_superoperator_oracle():
             for _ in range(17):
                 raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
                 rho = raw + raw.conj().T
-                direct = apply_liouvillian_direct(model, rho)
+                direct = apply_generator(model, rho)
                 scale = max(1.0, float(np.max(np.abs(direct))))
                 defect = float(np.max(np.abs(unvec(mat @ vec(rho)) - direct)))
                 worst_rel = max(worst_rel, defect / scale)

@@ -70,6 +70,35 @@ class TestCheck:
         assert code == 2
         assert "line 1" in err
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"n": 1, "hamiltonian": {"fields_x": [NaN]}, '
+             '"noise": {"type": "dephasing", "gammas": [0.5]}}', "hamiltonian.fields_x[0]"),
+            ('{"n": 2, "hamiltonian": {"couplings": [{"i": 0, "j": 1, "jx": Infinity}]}, '
+             '"noise": {"type": "dephasing", "gammas": [0.5, 0.5]}}',
+             "hamiltonian.couplings[0].jx"),
+            ('{"n": 1, "hamiltonian": {"fields_x": [1.0]}, '
+             '"noise": {"type": "dephasing", "gammas": [1e400]}}', "noise.gammas[0]"),
+            ('{"n": 1, "noise": {"type": "injection", "a": [[0, NaN]], "b": [0.5]}}',
+             "noise.a[0]"),
+            ('{"n": 1, "hamiltonian": {"fields_x": [1.0]}, '
+             '"noise": {"type": "dephasing", "gammas": [0.5]}, '
+             '"custom": {"h_extra": [{"word": "X", "coeff": NaN}]}}', "custom.h_extra[0].coeff"),
+            ('{"n": 1, "hamiltonian": {"fields_x": [1' + "0" * 400 + ']}, '
+             '"noise": {"type": "dephasing", "gammas": [0.5]}}', "hamiltonian.fields_x[0]"),
+        ],
+        ids=["nan-field", "inf-coupling", "overflow-rate", "nan-rate-pair", "nan-custom-coeff",
+             "overflow-int-field"],
+    )
+    def test_non_finite_number_is_input_error(self, tmp_path, capsys, text, field):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "check", "--model", str(path))
+        assert code == 2
+        assert out == ""
+        assert field in err
+
 
 class TestSpectrum:
     def test_commutator_rows(self, tmp_path, capsys):

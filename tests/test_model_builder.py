@@ -11,7 +11,6 @@ from ptliouville import (
     build_example1,
     build_example2,
     build_model,
-    dagger,
     parse_model_config,
     scale_noise,
     sigma_minus,
@@ -96,8 +95,8 @@ class TestInvariants:
         for n in (1, 2, 3):
             m1 = build_model(random_example1_spec(rng, n))
             m2 = build_model(random_example2_spec(rng, n))
-            assert dagger(m1.hamiltonian) == m1.hamiltonian
-            assert dagger(m2.hamiltonian) == m2.hamiltonian
+            assert m1.hamiltonian.dagger() == m1.hamiltonian
+            assert m2.hamiltonian.dagger() == m2.hamiltonian
 
     def test_parities_are_involutions(self):
         rng = np.random.default_rng(29)
@@ -112,7 +111,7 @@ class TestInvariants:
         rng = np.random.default_rng(31)
         model = build_model(random_example1_spec(rng, 3))
         for lm in model.lindblads:
-            assert dagger(lm) == lm
+            assert lm.dagger() == lm
 
 
 class TestScaleNoise:

@@ -75,6 +75,18 @@ class TestEigenSpectrum:
         with pytest.raises(ValueError):
             eigen_spectrum(np.array([[np.nan, 0], [0, 1]]))
 
+    def test_every_generator_solve_rejects_non_finite(self):
+        # an inf channel coefficient reaches the dense generator as inf/nan;
+        # numpy's LinAlgError is a ValueError too, hence the message match
+        inf_channel = CustomParts(lindblads_extra=(PauliOperator.term("Z", np.inf),))
+        model = build_model(ModelSpec(n=1, fields=(1.0,), noise=Dephasing((0.5,)),
+                                      custom=inf_channel))
+        basis = hamiltonian_eigenbasis(model)
+        for solve in (liouvillian_spectra, classify_pt_phase, check_uniform_rate,
+                      lambda m: match_bohr_frequencies(m, basis)):
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+                solve(model)
+
 
 class TestPairing:
     def test_symmetric_toy_set(self):

@@ -9,7 +9,6 @@ from ptliouville import (
     ModelSpec,
     PauliOperator,
     UncertifiedModelError,
-    apply_liouvillian_direct,
     build_liouvillian,
     build_model,
     build_parity_superop,
@@ -27,6 +26,7 @@ from _oracles import (
     I2,
     X,
     Y,
+    apply_generator,
     assert_spectra_match,
     bloch_liouvillian_eigs,
     dense_operator,
@@ -106,7 +106,7 @@ class TestBuildLiouvillian:
             for col in range(dim * dim):
                 unit = np.zeros((dim, dim), dtype=complex)
                 unit[col % dim, col // dim] = 1.0
-                direct = apply_liouvillian_direct(model, unit)
+                direct = apply_generator(model, unit)
                 assert np.max(np.abs(unvec(mat @ vec(unit)) - direct)) < 1e-12
 
     def test_matches_independent_generator_matrix(self):
@@ -124,26 +124,21 @@ class TestApplyDirect:
         rng = np.random.default_rng(101)
         model = build_model(random_example1_spec(rng, 2))
         rho = np.eye(4, dtype=complex) / 4
-        assert np.max(np.abs(apply_liouvillian_direct(model, rho))) < 1e-14
+        assert np.max(np.abs(apply_generator(model, rho))) < 1e-14
 
     def test_identity_stationary_without_noise(self):
         model = build_model(ModelSpec(n=2, couplings=((0, 1, 0.7, 0.2, -0.4),),
                                       fields=(0.1, 0.9), noise=Dephasing((0.0, 0.0))))
-        assert np.max(np.abs(apply_liouvillian_direct(model, np.eye(4, dtype=complex)))) < 1e-14
+        assert np.max(np.abs(apply_generator(model, np.eye(4, dtype=complex)))) < 1e-14
 
     def test_preserves_hermiticity_kills_trace(self):
         rng = np.random.default_rng(103)
         model = build_model(random_example2_spec(rng, 2))
         for _ in range(10):
             rho = random_density(rng, 4)
-            out = apply_liouvillian_direct(model, rho)
+            out = apply_generator(model, rho)
             assert np.max(np.abs(out - out.conj().T)) < 1e-12
             assert abs(np.trace(out)) < 1e-12
-
-    def test_shape_mismatch(self):
-        model = build_model(ModelSpec(n=2, noise=Dephasing((0.1, 0.1))))
-        with pytest.raises(DimensionError):
-            apply_liouvillian_direct(model, np.eye(2))
 
 
 class TestShiftedLiouvillian:
@@ -275,6 +270,6 @@ class TestGeneratorInvariants:
             mat = build_liouvillian(model).mat
             for _ in range(5):
                 rho = random_density(rng, 2 ** n)
-                direct = apply_liouvillian_direct(model, rho)
+                direct = apply_generator(model, rho)
                 scale = max(1.0, float(np.max(np.abs(direct))))
                 assert np.max(np.abs(unvec(mat @ vec(rho)) - direct)) < 1e-12 * scale
