@@ -29,7 +29,8 @@ def show(name, model):
     report = check_lemma(model)
     residual = pt_residual(model)
     print(f"{name}:")
-    print(f"  channels M = {len(model.lindblads)}, constants c = {np.round(model.c, 6).tolist()}")
+    constants = np.round(report.cond_iii.constants, 6).tolist()
+    print(f"  channels M = {len(model.lindblads)}, constants c = {constants}")
     print(f"  condition (i)   pass = {report.cond_i.passed}")
     if report.cond_ii.reflection is not None:
         z = report.cond_ii.reflection.matrix

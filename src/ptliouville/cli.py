@@ -1,22 +1,25 @@
 """Command-line front end: certification, spectra, transition scans, V matrices.
 
-Exit codes: 0 success / certified, 1 certified failure, 2 input error.
+Exit codes: 0 success / certified, 1 certified failure, 2 input error
+(including non-finite values computed from finite input).
 All analysis output goes to stdout (or --out); diagnostics go to stderr.
 Floats are serialized with 17 significant digits so identical inputs
-produce byte-identical output.
+produce byte-identical output at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
-from .errors import ModelConfigError, PTLiouvilleError, UncertifiedModelError
+from .errors import ModelConfigError, PTLiouvilleError
 from .lemma_checker import check_lemma
 from .model_builder import Model, ModelSpec, build_model, parse_model_config
 from .spectral_analysis import (
+    TOL_IM,
     hamiltonian_eigenbasis,
     liouvillian_spectra,
     scan_pt_breaking,
@@ -38,6 +41,9 @@ DEFAULT_MAX_N = 6
 
 
 def format_float(value: float) -> str:
+    """'.17g' text of a finite float; nan and inf are not JSON, so they raise ValueError."""
+    if not math.isfinite(value):
+        raise ValueError(f"cannot serialize the non-finite value {value}")
     return format(float(value), ".17g")
 
 
@@ -142,17 +148,13 @@ def cmd_spectrum(args) -> int:
 
 def cmd_scan(args) -> int:
     spec = _load_spec(args)
-    try:
-        result = scan_pt_breaking(
-            spec,
-            args.lambda_min,
-            args.lambda_max,
-            tol_im=args.tol_im,
-            resolution=args.resolution,
-        )
-    except UncertifiedModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CERT_FAIL
+    result = scan_pt_breaking(
+        spec,
+        args.lambda_min,
+        args.lambda_max,
+        tol_im=args.tol_im,
+        resolution=args.resolution,
+    )
     if args.format == "csv":
         lines = ["lambda,n_imag_axis,classification"]
         lines += [
@@ -200,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", required=True, help="path to the JSON model file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default=default_format)
-        p.add_argument("--tol-im", dest="tol_im", type=float, default=1e-8,
+        p.add_argument("--tol-im", dest="tol_im", type=float, default=TOL_IM,
                        help="imaginary-axis tolerance for classification")
         p.add_argument("--max-n", dest="max_n", type=int, default=DEFAULT_MAX_N,
                        help="size guard on the qubit count (default 6)")
@@ -238,6 +240,9 @@ def main(argv=None) -> int:
     except PTLiouvilleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CERT_FAIL
+    except ValueError as exc:  # non-finite numbers, numpy.linalg.LinAlgError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -47,12 +47,12 @@ class ReflectionMatrix:
     residual_invol: float
     residual_imag: float
 
-    def certified(self, tol: float = TOL_CERT) -> bool:
+    def certified(self) -> bool:
         return (
-            self.residual_fit < tol
-            and self.residual_orth < tol
-            and self.residual_invol < tol
-            and self.residual_imag < tol
+            self.residual_fit < TOL_CERT
+            and self.residual_orth < TOL_CERT
+            and self.residual_invol < TOL_CERT
+            and self.residual_imag < TOL_CERT
         )
 
 
@@ -112,7 +112,7 @@ class LemmaReport:
         }
 
 
-def check_condition_i(model: Model, tol: float = TOL_CERT) -> ConditionIReport:
+def check_condition_i(model: Model) -> ConditionIReport:
     """Unitarity and involutivity of U, W plus commutation with H."""
     ident = PauliOperator.identity(model.n)
     residuals = {
@@ -123,7 +123,7 @@ def check_condition_i(model: Model, tol: float = TOL_CERT) -> ConditionIReport:
         "hu_commutator": commutator(model.hamiltonian, model.u).max_norm(),
         "hw_commutator": commutator(model.hamiltonian, model.w).max_norm(),
     }
-    return ConditionIReport(all(r < tol for r in residuals.values()), residuals)
+    return ConditionIReport(all(r < TOL_CERT for r in residuals.values()), residuals)
 
 
 def _coefficient_matrix(ops, words) -> np.ndarray:
@@ -135,7 +135,7 @@ def _coefficient_matrix(ops, words) -> np.ndarray:
     return mat
 
 
-def solve_reflection_matrix(model: Model, tol: float = TOL_CERT) -> ReflectionMatrix:
+def solve_reflection_matrix(model: Model) -> ReflectionMatrix:
     """Solve the joint linear system of condition (ii) for a real Z.
 
     Both intertwining relations share one Z, so the least squares stacks the
@@ -184,15 +184,15 @@ def solve_reflection_matrix(model: Model, tol: float = TOL_CERT) -> ReflectionMa
     return ReflectionMatrix(z, residual_fit, residual_orth, residual_invol, residual_imag)
 
 
-def _condition_ii_report(model: Model, tol: float) -> ConditionIIReport:
+def _condition_ii_report(model: Model) -> ConditionIIReport:
     try:
-        reflection = solve_reflection_matrix(model, tol)
+        reflection = solve_reflection_matrix(model)
     except LinearDependenceError as exc:
         return ConditionIIReport(False, None, str(exc))
-    return ConditionIIReport(reflection.certified(tol), reflection)
+    return ConditionIIReport(reflection.certified(), reflection)
 
 
-def check_condition_iii(model: Model, tol: float = TOL_CERT) -> ConditionIIIReport:
+def check_condition_iii(model: Model) -> ConditionIIIReport:
     """Each {L_m, L_m^dag} must be a real multiple of the identity."""
     constants = []
     residuals = []
@@ -211,14 +211,14 @@ def check_condition_iii(model: Model, tol: float = TOL_CERT) -> ConditionIIIRepo
             )
         constants.append(value.real)
         residuals.append(abs(value.imag))
-    passed = all(r < tol for r in residuals)
+    passed = all(r < TOL_CERT for r in residuals)
     return ConditionIIIReport(passed, tuple(constants), tuple(residuals))
 
 
-def check_lemma(model: Model, tol: float = TOL_CERT) -> LemmaReport:
+def check_lemma(model: Model) -> LemmaReport:
     """Aggregate certification of all three conditions."""
     return LemmaReport(
-        cond_i=check_condition_i(model, tol),
-        cond_ii=_condition_ii_report(model, tol),
-        cond_iii=check_condition_iii(model, tol),
+        cond_i=check_condition_i(model),
+        cond_ii=_condition_ii_report(model),
+        cond_iii=check_condition_iii(model),
     )

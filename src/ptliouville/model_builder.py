@@ -16,13 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from .errors import DimensionError, ModelConfigError
-from .pauli_algebra import (
-    PauliOperator,
-    anticommutator,
-    as_identity_multiple,
-    sigma_minus,
-    sigma_plus,
-)
+from .pauli_algebra import PauliOperator, sigma_minus, sigma_plus
 
 Coupling = tuple[int, int, float, float, float]  # (j, k, jx, jy, jz) with j < k
 
@@ -71,18 +65,13 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Model:
-    """Realized operator set: Hamiltonian, channels, parity pair, channel constants.
-
-    ``c`` holds the constants with {L_m, L_m^dag} = c_m * identity when every
-    channel admits one, else None (certification then reports the failure).
-    """
+    """Realized operator set; lemma_checker.check_condition_iii finds its channel constants."""
 
     n: int
     hamiltonian: PauliOperator
     lindblads: tuple[PauliOperator, ...]
     u: PauliOperator
     w: PauliOperator
-    c: Optional[tuple[float, ...]]
     family: str  # "example1" | "example2" | "custom"
 
 
@@ -118,17 +107,6 @@ def validate_spec(spec: ModelSpec) -> None:
         raise ModelConfigError(f"scale must be >= 0, got {spec.scale!r}")
 
 
-def channel_constants(lindblads) -> Optional[tuple[float, ...]]:
-    """c_m with {L_m, L_m^dag} = c_m * identity, or None if any channel fails."""
-    cs = []
-    for lm in lindblads:
-        val = as_identity_multiple(anticommutator(lm, lm.dagger()))
-        if val is None:
-            return None
-        cs.append(val.real)
-    return tuple(cs)
-
-
 def _coupling_hamiltonian(n: int, couplings) -> PauliOperator:
     h = PauliOperator.zero(n)
     for (j, k, jx, jy, jz) in couplings:
@@ -159,7 +137,7 @@ def build_example1(spec: ModelSpec) -> Model:
             lindblads.append(lm)
     u = PauliOperator.term("X" * n)
     w = PauliOperator.identity(n)
-    return Model(n, h, tuple(lindblads), u, w, channel_constants(lindblads), "example1")
+    return Model(n, h, tuple(lindblads), u, w, "example1")
 
 
 def build_example2(spec: ModelSpec) -> Model:
@@ -184,7 +162,7 @@ def build_example2(spec: ModelSpec) -> Model:
                 lindblads.append(lm)
     u = PauliOperator.term("Y" * n)
     w = PauliOperator.term("X" * n)
-    return Model(n, h, tuple(lindblads), u, w, channel_constants(lindblads), "example2")
+    return Model(n, h, tuple(lindblads), u, w, "example2")
 
 
 def build_model(spec: ModelSpec) -> Model:
@@ -205,7 +183,6 @@ def build_model(spec: ModelSpec) -> Model:
             (),
             PauliOperator.identity(spec.n),
             PauliOperator.identity(spec.n),
-            (),
             "custom",
         )
     if spec.custom is None:
@@ -229,26 +206,15 @@ def _apply_custom(base: Model, parts: CustomParts) -> Model:
     lindblads = [lm for lm in lindblads if lm.terms]
     u = parts.u if parts.u is not None else base.u
     w = parts.w if parts.w is not None else base.w
-    return Model(n, h, tuple(lindblads), u, w, channel_constants(lindblads), "custom")
+    return Model(n, h, tuple(lindblads), u, w, "custom")
 
 
 def scale_noise(model: Model, lam: float) -> Model:
-    """Multiply every channel by lam (constants by lam^2); H, U, W untouched."""
+    """Multiply every channel by lam and drop the zero ones; H, U, W untouched."""
     if not (lam >= 0):
         raise ModelConfigError(f"noise scale must be >= 0, got {lam!r}")
-    lindblads = []
-    constants = [] if model.c is not None else None
-    for idx, lm in enumerate(model.lindblads):
-        scaled = lm * lam
-        if scaled.terms:
-            lindblads.append(scaled)
-            if constants is not None:
-                constants.append(model.c[idx] * lam * lam)
-    return replace(
-        model,
-        lindblads=tuple(lindblads),
-        c=tuple(constants) if constants is not None else None,
-    )
+    scaled = (lm * lam for lm in model.lindblads)
+    return replace(model, lindblads=tuple(lm for lm in scaled if lm.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +320,8 @@ def parse_model_config(text: str) -> ModelSpec:
         raise ModelConfigError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # e.g. an integer literal past sys.get_int_max_str_digits()
+        raise ModelConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelConfigError("top level: expected a JSON object")
     _require_keys(doc, _TOP_KEYS, "top level")

@@ -15,14 +15,13 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import BrokenPhaseError, ModelConfigError, UncertifiedModelError
-from .lemma_checker import check_lemma
+from .lemma_checker import check_condition_iii, check_lemma
 from .model_builder import Model, ModelSpec, build_model, scale_noise
 from .pauli_algebra import commutator
 from .superoperator import (
     SuperOp,
     build_liouvillian,
     build_shifted_liouvillian,
-    channel_shift,
     identity_component_shift,
     pauli_to_dense,
 )
@@ -39,16 +38,14 @@ BROKEN = "BROKEN"
 SORT_RE_TOL = 1e-8
 
 
-def canonical_sort(eigs, re_tol: float = SORT_RE_TOL) -> np.ndarray:
-    """Sort eigenvalues by real part (clustered within re_tol), then imaginary part."""
+def canonical_sort(eigs) -> np.ndarray:
+    """Sort eigenvalues by real part (clustered within SORT_RE_TOL), then imaginary part."""
     arr = np.asarray(eigs, dtype=complex)
     if arr.size == 0:
         return arr
     order = np.argsort(arr.real, kind="stable")
     sorted_re = arr.real[order]
-    cluster = np.zeros(arr.size, dtype=int)
-    for i in range(1, arr.size):
-        cluster[i] = cluster[i - 1] + (sorted_re[i] - sorted_re[i - 1] > re_tol)
+    cluster = np.cumsum(np.diff(sorted_re, prepend=-np.inf) > SORT_RE_TOL)
     final = np.lexsort((arr.imag[order], cluster))
     return arr[order][final]
 
@@ -65,13 +62,13 @@ def _eigvals(mat) -> np.ndarray:
     return np.linalg.eigvals(mat)
 
 
-def eigen_spectrum(superop, re_tol: float = SORT_RE_TOL) -> np.ndarray:
+def eigen_spectrum(superop) -> np.ndarray:
     """Complete eigenvalue set of a dense superoperator, canonically sorted.
 
     Accepts a SuperOp or a plain square matrix.
     """
     mat = superop.mat if isinstance(superop, SuperOp) else superop
-    return canonical_sort(_eigvals(mat), re_tol)
+    return canonical_sort(_eigvals(mat))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +219,7 @@ class SpectrumResult:
     shift_deviation: float
 
 
-def liouvillian_spectra(model: Model, re_tol: float = SORT_RE_TOL) -> SpectrumResult:
+def liouvillian_spectra(model: Model) -> SpectrumResult:
     """Both full spectra plus the worst elementwise defect of the shift identity.
 
     The shift is the identity component of the channel anticommutators,
@@ -231,8 +228,8 @@ def liouvillian_spectra(model: Model, re_tol: float = SORT_RE_TOL) -> SpectrumRe
     """
     base = build_liouvillian(model).mat
     shift = identity_component_shift(model)
-    eig_l = eigen_spectrum(base, re_tol)
-    eig_lp = eigen_spectrum(base + shift * np.eye(base.shape[0]), re_tol)
+    eig_l = eigen_spectrum(base)
+    eig_lp = eigen_spectrum(base + shift * np.eye(base.shape[0]))
     deviation = float(np.max(np.abs(eig_lp - (eig_l + shift)))) if eig_l.size else 0.0
     return SpectrumResult(model.n, eig_l, eig_lp, shift, deviation)
 
@@ -275,8 +272,13 @@ def _imaginary_axis_count(model: Model, tol_im: float) -> tuple[np.ndarray, int]
     """Eigenvalues of the shifted generator L' and how many sit on the imaginary axis.
 
     Classification and the uniform rate both count here, so UNBROKEN holds
-    exactly when a uniform rate exists.
+    exactly when a uniform rate exists.  Both need the channel constants of
+    condition (iii): without them L' is not the anti-symmetric generator.
     """
+    if check_condition_iii(model).constants is None:
+        raise UncertifiedModelError(
+            "channel constants are unavailable: some {L_m, L_m^dag} is not an identity multiple"
+        )
     shifted = build_shifted_liouvillian(model).mat
     eigs = _eigvals(shifted)
     threshold = tol_im * float(np.linalg.norm(shifted))
@@ -356,8 +358,8 @@ def check_uniform_rate(model: Model, tol_im: float = TOL_IM) -> UniformRateRepor
     real parts must vanish, i.e. those of L equal -sum(c_m).  Raises
     BrokenPhaseError when the model does not classify UNBROKEN.
     """
-    shift = channel_shift(model)
     shifted, count = _imaginary_axis_count(model, tol_im)
+    shift = identity_component_shift(model)
     dim = 2 ** model.n
     n_coh = dim * dim - dim
     if count < n_coh:

@@ -20,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionError, UncertifiedModelError
+from .errors import DimensionError
 from .model_builder import Model
 from .pauli_algebra import PauliOperator, anticommutator
 
@@ -81,21 +81,12 @@ def build_liouvillian(model: Model) -> SuperOp:
     return SuperOp(model.n, mat)
 
 
-def channel_shift(model: Model) -> float:
-    """Sum of the certified channel constants c_m; strict."""
-    if model.c is None:
-        raise UncertifiedModelError(
-            "channel constants are unavailable: some {L_m, L_m^dag} is not an identity multiple"
-        )
-    return float(sum(model.c))
-
-
 def identity_component_shift(model: Model) -> float:
     """Hilbert-Schmidt projection of sum_m {L_m, L_m^dag} onto the identity.
 
-    Equals channel_shift exactly whenever every anticommutator is an identity
-    multiple, but stays defined for violating models (needed to evaluate the
-    PT residual of negative controls).
+    Equals sum_m c_m whenever every anticommutator is an identity multiple
+    (condition (iii)), but stays defined for violating models (needed to
+    evaluate the PT residual of negative controls).
     """
     ident = "I" * model.n
     total = 0.0
@@ -106,10 +97,9 @@ def identity_component_shift(model: Model) -> float:
 
 
 def build_shifted_liouvillian(model: Model) -> SuperOp:
-    """Liouvillian plus (sum_m c_m) times the identity; requires certified constants."""
-    shift = channel_shift(model)
-    base = build_liouvillian(model)
-    return SuperOp(model.n, base.mat + shift * np.eye(base.mat.shape[0]))
+    """Liouvillian plus identity_component_shift times the identity."""
+    base = build_liouvillian(model).mat
+    return SuperOp(model.n, base + identity_component_shift(model) * np.eye(base.shape[0]))
 
 
 def build_parity_superop(model: Model) -> SuperOp:
@@ -125,8 +115,7 @@ def pt_residual(model: Model) -> float:
     Uses the identity-component shift so the residual is defined for models
     violating the channel-constant condition as well.
     """
-    base = build_liouvillian(model)
-    shifted = base.mat + identity_component_shift(model) * np.eye(base.mat.shape[0])
+    shifted = build_shifted_liouvillian(model).mat
     parity = build_parity_superop(model).mat
     defect = shifted @ parity + parity @ shifted.conj().T
     return float(np.linalg.norm(defect) / max(1.0, np.linalg.norm(shifted)))

@@ -67,6 +67,20 @@ def generator_matrix(h_mat, lindblad_mats):
     return out
 
 
+def analytic_constants(spec) -> tuple:
+    """Channel constants c_m of a family spec, in the builders' channel order.
+
+    {g Z, (g Z)^dag} = 2|g|^2 I and {a s+, (a s+)^dag} = |a|^2 {s+, s-} = |a|^2 I,
+    likewise |b|^2 for b s-; the scale multiplies every rate, and zero-rate
+    channels are absent.
+    """
+    if hasattr(spec.noise, "gammas"):
+        rates = [(g, 2.0) for g in spec.noise.gammas]
+    else:
+        rates = [(r, 1.0) for pair in zip(spec.noise.a, spec.noise.b) for r in pair]
+    return tuple(f * abs(spec.scale * r) ** 2 for r, f in rates if r != 0)
+
+
 def bloch_block(h: float, g: float) -> np.ndarray:
     """(y, z) block of the single-qubit Bloch generator for H = h X, L = g Z."""
     return np.array([[-4 * g * g, -2 * h], [2 * h, 0.0]])

@@ -38,7 +38,13 @@ from ptliouville import (
 )
 
 from _corpus import mixed_corpus, random_example1_spec, random_example2_spec
-from _oracles import apply_generator, bloch_transition_scale, dense_operator, generator_matrix
+from _oracles import (
+    analytic_constants,
+    apply_generator,
+    bloch_transition_scale,
+    dense_operator,
+    generator_matrix,
+)
 
 CORPUS_SEED = 20240817
 _CACHE = {}
@@ -177,9 +183,9 @@ def test_criterion_2_pt_residual_mixed_phase_rate_violation():
 def test_criterion_3_spectral_pairing_and_shift_identity():
     worst_pairing = 0.0
     worst_shift = 0.0
-    for _, model in corpus_models():
+    for spec, model in corpus_models():
         base = build_liouvillian(model).mat
-        shift = sum(model.c)
+        shift = sum(analytic_constants(spec))
         eig_l = np.linalg.eigvals(base)
         eig_lp = np.linalg.eigvals(base + shift * np.eye(base.shape[0]))
         pairing = check_pt_pairing(eig_lp, tol=1e-8)
@@ -230,7 +236,7 @@ def test_criterion_5_uniform_coherence_decay():
     # spectra (family 2 at odd n is structurally double-degenerate), so the
     # 20 models are drawn from the stream filtered by that check.
     rng = np.random.default_rng(CORPUS_SEED + 1)
-    models = []
+    models = []  # (model, sum of its analytic channel constants)
     draw = 0
     while len(models) < 20:
         n = 1 + draw % 3
@@ -238,17 +244,17 @@ def test_criterion_5_uniform_coherence_decay():
         draw += 1
         model = build_model(spec)
         if check_nondegeneracy(hamiltonian_eigenbasis(model)).passed:
-            models.append(model)
+            models.append((model, sum(analytic_constants(spec))))
     checked = 0
     worst = 0.0
-    for model in models:
+    for model, total in models:
         for lam in (0.5, 0.25, 0.1, 0.05, 0.02, 0.01):
             try:
                 report = check_uniform_rate(scale_noise(model, lam), tol_im=1e-8)
             except BrokenPhaseError:
                 continue
             assert report.passed
-            assert report.rate == pytest.approx(sum(model.c) * lam * lam)
+            assert report.rate == pytest.approx(total * lam * lam)
             worst = max(worst, report.max_deviation)
             checked += 1
             break

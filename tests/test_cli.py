@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +21,19 @@ SINGLE_QUBIT = {
     "n": 1,
     "hamiltonian": {"fields_x": [1.0]},
     "noise": {"type": "dephasing", "gammas": [1.0]},
+}
+
+
+# Python 3.11+ refuses integer literals past sys.get_int_max_str_digits()
+# (4300 by default) while parsing; older versions parse them and the
+# finiteness check on the field rejects the overflow.
+HUGE_INT_WHERE = "invalid JSON" if sys.version_info >= (3, 11) else "hamiltonian.fields_x[0]"
+
+# Every number is finite, but the squared rate overflows a double.
+OVERFLOWING_RATE = {
+    "n": 1,
+    "hamiltonian": {"fields_x": [0.5]},
+    "noise": {"type": "dephasing", "gammas": [1e200]},
 }
 
 
@@ -87,9 +101,11 @@ class TestCheck:
              '"custom": {"h_extra": [{"word": "X", "coeff": NaN}]}}', "custom.h_extra[0].coeff"),
             ('{"n": 1, "hamiltonian": {"fields_x": [1' + "0" * 400 + ']}, '
              '"noise": {"type": "dephasing", "gammas": [0.5]}}', "hamiltonian.fields_x[0]"),
+            ('{"n": 1, "hamiltonian": {"fields_x": [1' + "0" * 5000 + ']}, '
+             '"noise": {"type": "dephasing", "gammas": [0.5]}}', HUGE_INT_WHERE),
         ],
         ids=["nan-field", "inf-coupling", "overflow-rate", "nan-rate-pair", "nan-custom-coeff",
-             "overflow-int-field"],
+             "overflow-int-field", "huge-int-literal"],
     )
     def test_non_finite_number_is_input_error(self, tmp_path, capsys, text, field):
         path = tmp_path / "model.json"
@@ -98,6 +114,19 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert field in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("check",), ("spectrum",), ("spectrum", "--format", "json"), ("vmatrix",)],
+        ids=["check", "spectrum-csv", "spectrum-json", "vmatrix"],
+    )
+    def test_non_finite_result_is_input_error(self, tmp_path, capsys, argv):
+        path = write_model(tmp_path, OVERFLOWING_RATE)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(capsys, *argv, "--model", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSpectrum:

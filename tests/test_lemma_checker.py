@@ -19,7 +19,7 @@ from ptliouville import (
 )
 
 from _corpus import random_example1_spec, random_example2_spec
-from _oracles import dense_operator
+from _oracles import analytic_constants, dense_operator
 
 
 class TestConditionI:
@@ -138,13 +138,17 @@ class TestConditionIII:
 class TestCheckLemma:
     def test_family1_random(self):
         rng = np.random.default_rng(59)
-        report = check_lemma(build_model(random_example1_spec(rng, 3)))
+        spec = random_example1_spec(rng, 3)
+        report = check_lemma(build_model(spec))
         assert report.overall
+        assert report.cond_iii.constants == pytest.approx(analytic_constants(spec))
 
     def test_family2_random(self):
         rng = np.random.default_rng(61)
-        report = check_lemma(build_model(random_example2_spec(rng, 2)))
+        spec = random_example2_spec(rng, 2)
+        report = check_lemma(build_model(spec))
         assert report.overall
+        assert report.cond_iii.constants == pytest.approx(analytic_constants(spec))
 
     def test_x_field_breaks_family2_parity(self):
         spec = ModelSpec(

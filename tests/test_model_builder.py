@@ -11,6 +11,7 @@ from ptliouville import (
     build_example1,
     build_example2,
     build_model,
+    check_condition_iii,
     parse_model_config,
     scale_noise,
     sigma_minus,
@@ -28,7 +29,7 @@ class TestBuildExample1:
         assert model.lindblads == (PauliOperator.term("Z", 0.2),)
         assert model.u == PauliOperator.term("X")
         assert model.w == PauliOperator.identity(1)
-        assert model.c == pytest.approx((0.08,))
+        assert check_condition_iii(model).constants == pytest.approx((0.08,))
         assert model.family == "example1"
 
     def test_pure_noise(self):
@@ -65,7 +66,7 @@ class TestBuildExample2:
         assert model.lindblads == (sigma_plus(0, 1), sigma_minus(0, 1) * 0.5)
         assert model.u == PauliOperator.term("Y")
         assert model.w == PauliOperator.term("X")
-        assert model.c == pytest.approx((1.0, 0.25))
+        assert check_condition_iii(model).constants == pytest.approx((1.0, 0.25))
 
     def test_boundary_driven_chain(self):
         spec = ModelSpec(
@@ -82,7 +83,7 @@ class TestBuildExample2:
             ModelSpec(n=2, couplings=((0, 1, 1.0, 0.5, 0.2),), noise=Injection((0, 0), (0, 0)))
         )
         assert model.lindblads == ()
-        assert model.c == ()
+        assert check_condition_iii(model).constants == ()
 
     def test_fields_rejected(self):
         with pytest.raises(ModelConfigError):
@@ -119,7 +120,7 @@ class TestScaleNoise:
         model = build_example1(ModelSpec(n=1, fields=(0.5,), noise=Dephasing((0.2,))))
         scaled = scale_noise(model, 0.0)
         assert scaled.lindblads == ()
-        assert scaled.c == ()
+        assert check_condition_iii(scaled).constants == ()
         assert scaled.hamiltonian == model.hamiltonian
 
     def test_identity(self):
@@ -135,7 +136,7 @@ class TestScaleNoise:
         acomm = ld @ ld.conj().T + ld.conj().T @ ld
         c_oracle = acomm[0, 0].real
         assert np.max(np.abs(acomm - c_oracle * np.eye(2))) < 1e-15
-        assert scaled.c == pytest.approx((c_oracle,))
+        assert check_condition_iii(scaled).constants == pytest.approx((c_oracle,))
         assert c_oracle == pytest.approx(0.32)
 
     def test_composition(self):
@@ -146,7 +147,9 @@ class TestScaleNoise:
         assert len(twice.lindblads) == len(once.lindblads)
         for a, b in zip(twice.lindblads, once.lindblads):
             assert (a - b).max_norm() < 1e-14
-        assert twice.c == pytest.approx(once.c)
+        assert check_condition_iii(twice).constants == pytest.approx(
+            check_condition_iii(once).constants
+        )
 
     def test_negative_rejected(self):
         model = build_example1(ModelSpec(n=1, fields=(0.5,), noise=Dephasing((0.2,))))
@@ -242,7 +245,8 @@ class TestCustomModels:
         )
         model = build_model(spec)
         assert len(model.lindblads) == 2
-        assert model.c is None  # projector channel has no identity anticommutator
+        # projector channel has no identity anticommutator
+        assert check_condition_iii(model).constants is None
 
     def test_fully_custom_requires_parities(self):
         with pytest.raises(ModelConfigError, match="custom u and w"):
@@ -260,7 +264,7 @@ class TestCustomModels:
         )
         model = build_model(spec)
         assert model.family == "custom"
-        assert model.c == pytest.approx((1.0,))
+        assert check_condition_iii(model).constants == pytest.approx((1.0,))
 
     def test_custom_json_section(self):
         text = (

@@ -33,6 +33,7 @@ from ptliouville import (
 
 from _corpus import random_example1_spec, random_example2_spec
 from _oracles import (
+    analytic_constants,
     assert_spectra_match,
     bloch_liouvillian_eigs,
     bloch_transition_scale,
@@ -70,6 +71,24 @@ class TestEigenSpectrum:
         shifted = canonical_sort(eigs + 0.7 + jitter)
         plain = canonical_sort(eigs)
         assert np.max(np.abs(shifted - plain - 0.7)) < 1e-9
+
+    def test_canonical_sort_matches_cluster_loop(self):
+        # reference: the per-element cluster loop the cumulative sum replaced
+        def loop_sort(eigs, re_tol=1e-8):
+            arr = np.asarray(eigs, dtype=complex)
+            order = np.argsort(arr.real, kind="stable")
+            sorted_re = arr.real[order]
+            cluster = np.zeros(arr.size, dtype=int)
+            for i in range(1, arr.size):
+                cluster[i] = cluster[i - 1] + (sorted_re[i] - sorted_re[i - 1] > re_tol)
+            return arr[order][np.lexsort((arr.imag[order], cluster))]
+
+        rng = np.random.default_rng(157)
+        for size in (1, 2, 7, 40):
+            coarse = np.round(rng.normal(size=size), 1)  # exact ties
+            chained = rng.integers(0, 3, size=size) * 0.6e-8  # gaps on both sides of 1e-8
+            eigs = coarse + chained + 1j * np.round(rng.normal(size=size), 1)
+            assert np.array_equal(canonical_sort(eigs), loop_sort(eigs))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -201,9 +220,9 @@ class TestSpectra:
 
     def test_shift_equals_channel_constants(self):
         rng = np.random.default_rng(191)
-        model = build_model(random_example2_spec(rng, 2))
-        result = liouvillian_spectra(model)
-        assert result.shift == pytest.approx(sum(model.c))
+        spec = random_example2_spec(rng, 2)
+        result = liouvillian_spectra(build_model(spec))
+        assert result.shift == pytest.approx(sum(analytic_constants(spec)))
 
 
 class TestScan:
@@ -234,6 +253,32 @@ class TestScan:
         ]
         switches = sum(1 for a, b in zip(labels, labels[1:]) if a != b)
         assert switches == 1
+
+    def test_gamma_pt_independent_of_bracketing_range(self):
+        # both brackets hold the transition and are at most `resolution`
+        # wide, so their midpoints differ by at most `resolution`
+        rng = np.random.default_rng(211)
+        resolution = 1e-6
+        for spec in (single_qubit_spec(1.0, 1.0), random_example1_spec(rng, 2)):
+            narrow = scan_pt_breaking(spec, 0.01, 2.0, resolution=resolution)
+            wide = scan_pt_breaking(spec, 0.05, 5.0, resolution=resolution)
+            assert narrow.gamma_pt is not None and wide.gamma_pt is not None
+            assert abs(narrow.gamma_pt - wide.gamma_pt) <= resolution
+
+    def test_family2_phase_at_odd_n(self):
+        rng = np.random.default_rng(223)
+        for _ in range(3):
+            model = build_model(random_example2_spec(rng, 3))
+            for lam in (0.01, 0.1, 1.0, 4.0):
+                assert classify_pt_phase(scale_noise(model, lam)).classification == BROKEN
+        # n = 1 has no couplings, so H = 0.  The coherences |0><1| and |1><0|
+        # are eigenvectors of L, and each channel adds -|a|^2 (or -|b|^2) to
+        # their eigenvalue, so both sit at exactly -sum(c): on the imaginary
+        # axis of L' (the N^2 - N = 2 required) at every noise scale.
+        for _ in range(3):
+            model = build_model(random_example2_spec(rng, 1))
+            for lam in (1e-4, 0.01, 0.1, 1.0, 4.0, 100.0):
+                assert classify_pt_phase(scale_noise(model, lam)).classification == UNBROKEN
 
     def test_uncertified_base_rejected(self):
         spec = ModelSpec(
@@ -282,6 +327,17 @@ class TestUniformRate:
     def test_broken_phase_rejected(self):
         model = build_model(single_qubit_spec(1.0, 1.5))
         with pytest.raises(BrokenPhaseError):
+            check_uniform_rate(model)
+
+    def test_requires_channel_constants(self):
+        # {P, P^dag} = 2P = I + Z for the projector P: no constant c_m exists
+        projector = PauliOperator(1, {"I": 0.5, "Z": 0.5})
+        spec = ModelSpec(n=1, fields=(1.0,), noise=Dephasing((0.2,)),
+                         custom=CustomParts(lindblads_extra=(projector,)))
+        model = build_model(spec)
+        with pytest.raises(UncertifiedModelError):
+            classify_pt_phase(model)
+        with pytest.raises(UncertifiedModelError):
             check_uniform_rate(model)
 
     def test_equivalence_with_classification(self):

@@ -8,7 +8,6 @@ from ptliouville import (
     Injection,
     ModelSpec,
     PauliOperator,
-    UncertifiedModelError,
     build_liouvillian,
     build_model,
     build_parity_superop,
@@ -26,6 +25,7 @@ from _oracles import (
     I2,
     X,
     Y,
+    analytic_constants,
     apply_generator,
     assert_spectra_match,
     bloch_liouvillian_eigs,
@@ -159,19 +159,25 @@ class TestShiftedLiouvillian:
 
     def test_spectral_shift_identity(self):
         rng = np.random.default_rng(107)
-        model = build_model(random_example2_spec(rng, 2))
-        shift = sum(model.c)
+        spec = random_example2_spec(rng, 2)
+        model = build_model(spec)
+        shift = sum(analytic_constants(spec))
         eig_l = np.sort_complex(np.linalg.eigvals(build_liouvillian(model).mat))
         eig_lp = np.sort_complex(np.linalg.eigvals(build_shifted_liouvillian(model).mat))
         assert np.max(np.abs(np.sort(eig_lp.real) - np.sort(eig_l.real + shift))) < 1e-9
 
-    def test_requires_channel_constants(self):
+    def test_shift_without_channel_constants(self):
+        # {P, P^dag} = 2P = I + Z has no constant, but its identity component
+        # is 1; with 2 (0.2)^2 from the Z channel the shift is 1.08
         projector = PauliOperator(1, {"I": 0.5, "Z": 0.5})
         spec = ModelSpec(n=1, fields=(1.0,), noise=Dephasing((0.2,)),
                          custom=CustomParts(lindblads_extra=(projector,)))
         model = build_model(spec)
-        with pytest.raises(UncertifiedModelError):
-            build_shifted_liouvillian(model)
+        assert identity_component_shift(model) == pytest.approx(1.08, abs=1e-15)
+        assert np.array_equal(
+            build_shifted_liouvillian(model).mat,
+            build_liouvillian(model).mat + identity_component_shift(model) * np.eye(4),
+        )
 
 
 class TestParitySuperop:
@@ -237,8 +243,9 @@ class TestPTResidual:
 
     def test_identity_component_shift_matches_constants(self):
         rng = np.random.default_rng(127)
-        model = build_model(random_example2_spec(rng, 2))
-        assert identity_component_shift(model) == pytest.approx(sum(model.c), abs=1e-14)
+        spec = random_example2_spec(rng, 2)
+        expected = sum(analytic_constants(spec))
+        assert identity_component_shift(build_model(spec)) == pytest.approx(expected, abs=1e-14)
 
 
 class TestGeneratorInvariants:
