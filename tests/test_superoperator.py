@@ -8,11 +8,14 @@ from ptliouville import (
     Injection,
     ModelSpec,
     PauliOperator,
+    UncertifiedModelError,
     build_liouvillian,
     build_model,
     build_parity_superop,
     build_shifted_liouvillian,
+    check_condition_iii,
     check_lemma,
+    classify_pt_phase,
     identity_component_shift,
     pauli_to_dense,
     pt_residual,
@@ -166,13 +169,17 @@ class TestShiftedLiouvillian:
         eig_lp = np.sort_complex(np.linalg.eigvals(build_shifted_liouvillian(model).mat))
         assert np.max(np.abs(np.sort(eig_lp.real) - np.sort(eig_l.real + shift))) < 1e-9
 
-    def test_shift_without_channel_constants(self):
+    def test_requires_channel_constants(self):
         # {P, P^dag} = 2P = I + Z has no constant, but its identity component
-        # is 1; with 2 (0.2)^2 from the Z channel the shift is 1.08
+        # is 1; with 2 (0.2)^2 from the Z channel the shift is 1.08. The
+        # shifted generator stays defined; its spectral consumers refuse it.
         projector = PauliOperator(1, {"I": 0.5, "Z": 0.5})
         spec = ModelSpec(n=1, fields=(1.0,), noise=Dephasing((0.2,)),
                          custom=CustomParts(lindblads_extra=(projector,)))
         model = build_model(spec)
+        assert check_condition_iii(model).constants is None
+        with pytest.raises(UncertifiedModelError):
+            classify_pt_phase(model)
         assert identity_component_shift(model) == pytest.approx(1.08, abs=1e-15)
         assert np.array_equal(
             build_shifted_liouvillian(model).mat,
