@@ -15,6 +15,8 @@ import math
 import sys
 from typing import Optional
 
+import numpy as np
+
 from .errors import ModelConfigError, PTLiouvilleError
 from .lemma_checker import check_lemma
 from .model_builder import Model, ModelSpec, build_model, parse_model_config
@@ -40,10 +42,14 @@ DEFAULT_MAX_N = 6
 # ---------------------------------------------------------------------------
 
 
+class _NonFiniteOutput(ValueError):
+    """A computed number JSON cannot carry; main() reports it as an input error."""
+
+
 def format_float(value: float) -> str:
     """'.17g' text of a finite float; nan and inf are not JSON, so they raise ValueError."""
     if not math.isfinite(value):
-        raise ValueError(f"cannot serialize the non-finite value {value}")
+        raise _NonFiniteOutput(f"cannot serialize the non-finite value {value}")
     return format(float(value), ".17g")
 
 
@@ -240,7 +246,7 @@ def main(argv=None) -> int:
     except PTLiouvilleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CERT_FAIL
-    except ValueError as exc:  # non-finite numbers, numpy.linalg.LinAlgError
+    except (_NonFiniteOutput, np.linalg.LinAlgError) as exc:  # non-finite results
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

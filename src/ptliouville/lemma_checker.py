@@ -23,12 +23,7 @@ import numpy as np
 
 from .errors import LinearDependenceError
 from .model_builder import Model
-from .pauli_algebra import (
-    PauliOperator,
-    anticommutator,
-    as_identity_multiple,
-    commutator,
-)
+from .pauli_algebra import PauliOperator, anticommutator, as_identity_multiple, commutator
 
 TOL_CERT = 1e-10
 

@@ -21,7 +21,6 @@ from .pauli_algebra import commutator
 from .superoperator import (
     SuperOp,
     build_liouvillian,
-    build_shifted_liouvillian,
     identity_component_shift,
     pauli_to_dense,
 )
@@ -53,12 +52,12 @@ def canonical_sort(eigs) -> np.ndarray:
 def _eigvals(mat) -> np.ndarray:
     """Unsorted eigenvalues of a dense matrix; every generator spectrum is solved here.
 
-    Rejects non-finite entries with ValueError.  Solver non-convergence
-    surfaces as numpy.linalg.LinAlgError.
+    Non-finite entries and solver non-convergence both raise
+    numpy.linalg.LinAlgError, as numpy's own input check would.
     """
     mat = np.asarray(mat)
     if not np.all(np.isfinite(mat)):
-        raise ValueError("superoperator matrix contains non-finite entries")
+        raise np.linalg.LinAlgError("superoperator matrix contains non-finite entries")
     return np.linalg.eigvals(mat)
 
 
@@ -268,8 +267,8 @@ class ScanResult:
         }
 
 
-def _imaginary_axis_count(model: Model, tol_im: float) -> tuple[np.ndarray, int]:
-    """Eigenvalues of the shifted generator L' and how many sit on the imaginary axis.
+def _imaginary_axis_count(model: Model, tol_im: float) -> tuple[np.ndarray, int, float]:
+    """Eigenvalues of L' (build_shifted_liouvillian), their imaginary-axis count, the shift.
 
     Classification and the uniform rate both count here, so UNBROKEN holds
     exactly when a uniform rate exists.  Both need the channel constants of
@@ -279,10 +278,11 @@ def _imaginary_axis_count(model: Model, tol_im: float) -> tuple[np.ndarray, int]
         raise UncertifiedModelError(
             "channel constants are unavailable: some {L_m, L_m^dag} is not an identity multiple"
         )
-    shifted = build_shifted_liouvillian(model).mat
+    shift = identity_component_shift(model)
+    shifted = build_liouvillian(model).mat + shift * np.eye(4 ** model.n)
     eigs = _eigvals(shifted)
     threshold = tol_im * float(np.linalg.norm(shifted))
-    return eigs, int(np.sum(np.abs(eigs.real) < threshold))
+    return eigs, int(np.sum(np.abs(eigs.real) < threshold)), shift
 
 
 def classify_pt_phase(model: Model, tol_im: float = TOL_IM) -> PhaseClassification:
@@ -292,7 +292,7 @@ def classify_pt_phase(model: Model, tol_im: float = TOL_IM) -> PhaseClassificati
     shifted generator; the count criterion is order-free on purpose, since
     population and coherence sectors mix at finite coupling.
     """
-    _, count = _imaginary_axis_count(model, tol_im)
+    _, count, _ = _imaginary_axis_count(model, tol_im)
     dim = 2 ** model.n
     label = UNBROKEN if count >= dim * dim - dim else BROKEN
     return PhaseClassification(count, label)
@@ -358,8 +358,7 @@ def check_uniform_rate(model: Model, tol_im: float = TOL_IM) -> UniformRateRepor
     real parts must vanish, i.e. those of L equal -sum(c_m).  Raises
     BrokenPhaseError when the model does not classify UNBROKEN.
     """
-    shifted, count = _imaginary_axis_count(model, tol_im)
-    shift = identity_component_shift(model)
+    shifted, count, shift = _imaginary_axis_count(model, tol_im)
     dim = 2 ** model.n
     n_coh = dim * dim - dim
     if count < n_coh:

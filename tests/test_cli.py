@@ -24,10 +24,12 @@ SINGLE_QUBIT = {
 }
 
 
-# Python 3.11+ refuses integer literals past sys.get_int_max_str_digits()
-# (4300 by default) while parsing; older versions parse them and the
-# finiteness check on the field rejects the overflow.
-HUGE_INT_WHERE = "invalid JSON" if sys.version_info >= (3, 11) else "hamiltonian.fields_x[0]"
+# Interpreters with sys.get_int_max_str_digits() (3.11, and 3.10.7 onward)
+# refuse integer literals past that limit (4300 digits by default) while
+# parsing; older ones parse them and the finiteness check on the field
+# rejects the overflow.
+HUGE_INT_WHERE = ("invalid JSON" if hasattr(sys, "get_int_max_str_digits")
+                  else "hamiltonian.fields_x[0]")
 
 # Every number is finite, but the squared rate overflows a double.
 OVERFLOWING_RATE = {

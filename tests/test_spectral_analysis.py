@@ -96,7 +96,8 @@ class TestEigenSpectrum:
 
     def test_every_generator_solve_rejects_non_finite(self):
         # an inf channel coefficient reaches the dense generator as inf/nan;
-        # numpy's LinAlgError is a ValueError too, hence the message match
+        # the guard raises numpy's LinAlgError (a ValueError) with its own
+        # message, hence the message match
         inf_channel = CustomParts(lindblads_extra=(PauliOperator.term("Z", np.inf),))
         model = build_model(ModelSpec(n=1, fields=(1.0,), noise=Dephasing((0.5,)),
                                       custom=inf_channel))
