@@ -75,6 +75,19 @@ class Model:
     family: str  # "example1" | "example2" | "custom"
 
 
+def require_hermitian(h: PauliOperator, where: str) -> None:
+    """Raise ModelConfigError unless H is Hermitian.
+
+    Pauli words are Hermitian, so H is exactly when every coefficient is
+    real; the test is exact, with no tolerance.
+    """
+    for word, coeff in h.sorted_terms():
+        if coeff.imag != 0:
+            raise ModelConfigError(
+                f"{where}: the Hamiltonian must be Hermitian, but {word!r} has coefficient {coeff}"
+            )
+
+
 def validate_spec(spec: ModelSpec) -> None:
     """Structural validation; raises ModelConfigError with the offending field."""
     if not isinstance(spec.n, int) or spec.n < 1:
@@ -198,6 +211,8 @@ def _apply_custom(base: Model, parts: CustomParts) -> Model:
     h = parts.h if parts.h is not None else base.hamiltonian
     if parts.h_extra is not None:
         h = h + parts.h_extra
+    supplied = [f"custom.{name}" for name in ("h", "h_extra") if getattr(parts, name) is not None]
+    require_hermitian(h, " + ".join(supplied))
     lindblads = list(parts.lindblads if parts.lindblads is not None else base.lindblads)
     lindblads.extend(parts.lindblads_extra)
     for lm in lindblads:

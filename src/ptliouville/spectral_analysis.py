@@ -1,7 +1,9 @@
 """Non-Hermitian spectral consequences: pairing, transition scan, uniform rates, V matrix.
 
 All spectra are dense (complete eigenvalue sets are required), so the
-practical size limit is n <= 6.  Scans over the noise scale evaluate
+practical size limit is n <= 6.  Every generator spectrum is solved from
+the real Pauli-basis matrix of superoperator.pauli_generator, one Z2
+symmetry sector (diagonal block) at a time.  Scans over the noise scale evaluate
 independent models and are safe to parallelize externally; nothing here
 shares writable state.
 """
@@ -20,9 +22,10 @@ from .model_builder import Model, ModelSpec, build_model, scale_noise
 from .pauli_algebra import commutator
 from .superoperator import (
     SuperOp,
-    build_liouvillian,
     identity_component_shift,
+    pauli_generator,
     pauli_to_dense,
+    symmetry_sectors,
 )
 
 TOL_IM = 1e-8
@@ -61,6 +64,16 @@ def _eigvals(mat) -> np.ndarray:
     return np.linalg.eigvals(mat)
 
 
+def _sector_eigvals(mat: np.ndarray, sectors, shift: float = 0.0) -> np.ndarray:
+    """Unsorted eigenvalues of mat + shift * I, one diagonal block per sector."""
+    parts = []
+    for idx in sectors:
+        block = mat[np.ix_(idx, idx)]
+        block[np.diag_indices(idx.size)] += shift
+        parts.append(_eigvals(block))
+    return np.concatenate(parts, dtype=complex)
+
+
 def eigen_spectrum(superop) -> np.ndarray:
     """Complete eigenvalue set of a dense superoperator, canonically sorted.
 
@@ -88,8 +101,8 @@ def check_pt_pairing(eigs, tol: float = TOL_IM) -> PairingReport:
     An eigenvalue on the imaginary axis may pair with itself.  Passes when
     the largest pairing distance stays below tol.
     """
-    values = list(canonical_sort(eigs))
-    used = [False] * len(values)
+    values = canonical_sort(eigs)
+    used = np.zeros(values.size, dtype=bool)
     pairs = []
     max_distance = 0.0
     for i, lam in enumerate(values):
@@ -98,14 +111,12 @@ def check_pt_pairing(eigs, tol: float = TOL_IM) -> PairingReport:
         used[i] = True
         target = -lam.conjugate()
         best_j, best_d = i, abs(lam - target)
-        for j in range(len(values)):
-            if used[j]:
-                continue
-            d = abs(values[j] - target)
-            if d < best_d:
-                best_j, best_d = j, d
-        if best_j != i:
-            used[best_j] = True
+        dist = np.abs(values - target)
+        dist[used] = np.inf
+        j = int(np.argmin(dist))
+        if dist[j] < best_d:  # argmin takes the first of equal distances
+            best_j, best_d = j, dist[j]
+            used[j] = True
         pairs.append((lam, values[best_j]))
         max_distance = max(max_distance, best_d)
     return PairingReport(max_distance < tol, max_distance, tuple(pairs))
@@ -225,10 +236,11 @@ def liouvillian_spectra(model: Model) -> SpectrumResult:
     equal to sum(c_m) whenever the constants exist, but defined for
     violating models too.
     """
-    base = build_liouvillian(model).mat
+    mat = pauli_generator(model)
+    sectors = symmetry_sectors(model)
     shift = identity_component_shift(model)
-    eig_l = eigen_spectrum(base)
-    eig_lp = eigen_spectrum(base + shift * np.eye(base.shape[0]))
+    eig_l = canonical_sort(_sector_eigvals(mat, sectors))
+    eig_lp = canonical_sort(_sector_eigvals(mat, sectors, shift))
     deviation = float(np.max(np.abs(eig_lp - (eig_l + shift)))) if eig_l.size else 0.0
     return SpectrumResult(model.n, eig_l, eig_lp, shift, deviation)
 
@@ -268,19 +280,22 @@ class ScanResult:
 
 
 def _imaginary_axis_count(model: Model, tol_im: float) -> tuple[np.ndarray, int, float]:
-    """Eigenvalues of L' (build_shifted_liouvillian), their imaginary-axis count, the shift.
+    """Eigenvalues of L' = L + shift * I, their imaginary-axis count, the shift.
 
     Classification and the uniform rate both count here, so UNBROKEN holds
     exactly when a uniform rate exists.  Both need the channel constants of
     condition (iii): without them L' is not the anti-symmetric generator.
+    The axis threshold is relative to ||L'||_F, which the unitary change to
+    the Pauli basis leaves unchanged.
     """
     if check_condition_iii(model).constants is None:
         raise UncertifiedModelError(
             "channel constants are unavailable: some {L_m, L_m^dag} is not an identity multiple"
         )
     shift = identity_component_shift(model)
-    shifted = build_liouvillian(model).mat + shift * np.eye(4 ** model.n)
-    eigs = _eigvals(shifted)
+    shifted = pauli_generator(model)
+    shifted[np.diag_indices_from(shifted)] += shift
+    eigs = _sector_eigvals(shifted, symmetry_sectors(model))
     threshold = tol_im * float(np.linalg.norm(shifted))
     return eigs, int(np.sum(np.abs(eigs.real) < threshold)), shift
 
@@ -405,7 +420,7 @@ def match_bohr_frequencies(
     energies = np.asarray(basis.energies, dtype=float)
     count = energies.size
     level_pairs = [(j, k) for j in range(count) for k in range(count) if j != k]
-    eigs = _eigvals(build_liouvillian(model).mat)
+    eigs = _sector_eigvals(pauli_generator(model), symmetry_sectors(model))
     bohr = np.array([energies[k] - energies[j] for j, k in level_pairs])
     cost = np.abs(eigs.imag[:, None] - bohr[None, :])
     rows, cols = linear_sum_assignment(cost)

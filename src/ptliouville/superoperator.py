@@ -1,16 +1,22 @@
-"""Dense realization: operator images, Liouvillian, parity superoperator, PT residual.
+"""Generator in the Pauli-string basis, its Z2 symmetry sectors, parity superoperator, PT residual.
 
-One vectorization convention holds everywhere: vec stacks columns, so
-
-    vec(A rho B) = (B^T kron A) vec(rho)
-
-and the Hilbert-Schmidt adjoint of a superoperator is the conjugate
-transpose of its matrix.  The generator uses the doubled dissipator
+The generator uses the doubled dissipator
 
     d rho/dt = -i[H, rho] + sum_m (2 L_m rho L_m^dag - {L_m^dag L_m, rho})
 
 so that the shifted generator is exactly L + (sum_m c_m) Id when every
 channel satisfies {L_m, L_m^dag} = c_m * identity.
+
+Every spectrum is solved in the normalised Pauli-string basis, where
+
+    R[c, a] = 2^-n Tr(P_c L(P_a))
+
+is real for a Hermitian H.  Basis words are indexed in base 4 with the
+letter codes I, X, Y, Z = 0..3 (the ``sorted_terms`` order), first site
+most significant.  The column-stacking view (vec stacks columns, so
+vec(A rho B) = (B^T kron A) vec(rho)) is the change of basis T R T^dag,
+where column a of T is vec(P_a) / sqrt(2^n); it is unitary, so Frobenius
+norms and spectra agree in both views.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ from functools import reduce
 import numpy as np
 
 from .errors import DimensionError
-from .model_builder import Model
-from .pauli_algebra import PauliOperator, anticommutator
+from .model_builder import Model, require_hermitian
+from .pauli_algebra import _MUL1, PAULI_LETTERS, PauliOperator, anticommutator, string_mul
 
 _SITE = {
     "I": np.eye(2, dtype=complex),
@@ -30,6 +36,20 @@ _SITE = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+# Single-site products in letter codes: the letter of a*b is the XOR of the
+# two codes, and _PHASE_EXP[a, b] is the k with a*b = i^k (a XOR b).  An odd
+# k marks anticommuting letters, so a word's summed k is odd exactly when
+# the two words anticommute.
+_I_POWERS = np.array([1, 1j, -1, -1j])
+_PHASE_EXP = np.array(
+    [[{1: 0, 1j: 1, -1: 2, -1j: 3}[_MUL1[(a, b)][0]] for b in PAULI_LETTERS]
+     for a in PAULI_LETTERS]
+)
+
+# Rows of the PT-residual defect formed at a time: bounds its complex
+# temporaries to about this many entries.
+_RESIDUAL_CHUNK = 2 ** 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,22 +83,123 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape((d, d), order="F")
 
 
-def sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> a rho b."""
-    return np.kron(b.T, a)
+# ---------------------------------------------------------------------------
+# The Pauli-string basis
+# ---------------------------------------------------------------------------
+
+
+def _codes(word: str) -> np.ndarray:
+    return np.array([PAULI_LETTERS.index(ch) for ch in word])
+
+
+def _basis_codes(n: int) -> np.ndarray:
+    """Letter codes of all 4^n basis words, one row per word."""
+    shifts = 2 * np.arange(n - 1, -1, -1)
+    return (np.arange(4 ** n)[:, None] >> shifts) & 3
+
+
+def _word_products(codes: np.ndarray, left: str, right: str) -> tuple[np.ndarray, np.ndarray]:
+    """Index c and power k with left P_a right = i^k P_c, for every basis word a."""
+    lc, rc = _codes(left), _codes(right)
+    k = _PHASE_EXP[lc, codes].sum(axis=1) + _PHASE_EXP[codes ^ lc, rc].sum(axis=1)
+    mask = (lc ^ rc) @ (4 ** np.arange(len(lc) - 1, -1, -1))
+    return np.arange(len(codes)) ^ mask, k % 4
+
+
+def pauli_generator(model: Model) -> np.ndarray:
+    """Real 4^n x 4^n matrix R[c, a] = 2^-n Tr(P_c L(P_a)) of the generator.
+
+    Each term of H, each term pair of L_m (in 2 L_m rho L_m^dag) and each
+    term of L_m^dag L_m acts on all basis words at once.  The map preserves
+    Hermiticity, so only the real part of every contribution is kept.
+    Raises ModelConfigError when H is not Hermitian, since R would then be
+    complex.
+    """
+    require_hermitian(model.hamiltonian, "hamiltonian")
+    n = model.n
+    codes = _basis_codes(n)
+    cols = np.arange(4 ** n)
+    ident = "I" * n
+    out = np.zeros((cols.size, cols.size))
+
+    def add(left: str, right: str, coeff: complex) -> None:
+        rows, k = _word_products(codes, left, right)
+        out[rows, cols] += (coeff * _I_POWERS[k]).real
+
+    for word, h in model.hamiltonian.terms.items():
+        add(word, ident, -1j * h)
+        add(ident, word, 1j * h)
+    for lm in model.lindblads:
+        terms = list(lm.terms.items())
+        ldl: dict[str, complex] = {}
+        for s, ls in terms:
+            for t, lt in terms:
+                add(s, t, 2 * ls * lt.conjugate())
+                phase, word = string_mul(s, t)
+                ldl[word] = ldl.get(word, 0j) + ls.conjugate() * lt * phase
+        for word, coeff in ldl.items():
+            add(word, ident, -coeff)
+            add(ident, word, -coeff)
+    return out
+
+
+def _anticommutes(a: str, b: str) -> bool:
+    return string_mul(a, b)[0].imag != 0
+
+
+def z2_symmetry_strings(model: Model) -> tuple[str, ...]:
+    """The strings among X^n, Y^n, Z^n that commute with H and send each L_m to +-L_m.
+
+    S qualifies when every term of H commutes with S and, within each
+    channel, the terms all commute or all anticommute with S; then
+    rho -> S rho S commutes with the generator.
+    """
+    found = []
+    for letter in "XYZ":
+        s = letter * model.n
+        if any(_anticommutes(word, s) for word in model.hamiltonian.terms):
+            continue
+        if all(len({_anticommutes(word, s) for word in lm.terms}) == 1 for lm in model.lindblads):
+            found.append(s)
+    return tuple(found)
+
+
+def symmetry_sectors(model: Model) -> list[np.ndarray]:
+    """Basis-word indices of each diagonal block of pauli_generator.
+
+    A word's sector label is its commutation bits with the strings of
+    z2_symmetry_strings; with no such string there is one block.
+    """
+    codes = _basis_codes(model.n)
+    label = np.zeros(len(codes), dtype=int)
+    for bit, s in enumerate(z2_symmetry_strings(model)):
+        _, k = _word_products(codes, s, "I" * model.n)
+        label |= (k & 1) << bit  # odd k: the word anticommutes with s
+    return [np.flatnonzero(label == value) for value in np.unique(label)]
+
+
+def _pauli_basis(n: int) -> np.ndarray:
+    """Unitary T whose column a is vec(P_a) / sqrt(2^n)."""
+    site = np.stack([_SITE[ch] for ch in PAULI_LETTERS])
+    words = site
+    for _ in range(n - 1):
+        dim = 2 * words.shape[1]
+        words = np.einsum("aij,bkl->abikjl", words, site).reshape(-1, dim, dim)
+    return words.transpose(0, 2, 1).reshape(4 ** n, -1).T / np.sqrt(2 ** n)
+
+
+# ---------------------------------------------------------------------------
+# Column-stacking views
+# ---------------------------------------------------------------------------
 
 
 def build_liouvillian(model: Model) -> SuperOp:
-    """Generator of d rho/dt = -i[H, rho] + sum_m (2 L rho L^dag - {L^dag L, rho})."""
-    dim = 2 ** model.n
-    eye = np.eye(dim, dtype=complex)
-    hd = pauli_to_dense(model.hamiltonian)
-    mat = -1j * (sandwich(hd, eye) - sandwich(eye, hd))
-    for lm in model.lindblads:
-        ld = pauli_to_dense(lm)
-        ldl = ld.conj().T @ ld
-        mat += 2 * sandwich(ld, ld.conj().T) - sandwich(ldl, eye) - sandwich(eye, ldl)
-    return SuperOp(model.n, mat)
+    """Generator of d rho/dt = -i[H, rho] + sum_m (2 L rho L^dag - {L^dag L, rho}).
+
+    The column-stacking view T R T^dag of pauli_generator's R.
+    """
+    basis = _pauli_basis(model.n)
+    return SuperOp(model.n, basis @ pauli_generator(model) @ basis.conj().T)
 
 
 def identity_component_shift(model: Model) -> float:
@@ -104,18 +225,38 @@ def build_shifted_liouvillian(model: Model) -> SuperOp:
 
 def build_parity_superop(model: Model) -> SuperOp:
     """Matrix of rho -> U rho W; an involution when U^2 = W^2 = identity."""
-    ud = pauli_to_dense(model.u)
-    wd = pauli_to_dense(model.w)
-    return SuperOp(model.n, sandwich(ud, wd))
+    return SuperOp(model.n, np.kron(pauli_to_dense(model.w).T, pauli_to_dense(model.u)))
 
 
 def pt_residual(model: Model) -> float:
     """Frobenius defect of the anti-symmetry relation L' P = -P L'^dag, normalized.
 
     Uses the identity-component shift so the residual is defined for models
-    violating the channel-constant condition as well.
+    violating the channel-constant condition as well.  In the Pauli basis
+    L' is the real R' and P is Q = sum over term pairs (u, w) of phased
+    permutations Q_uw[perm(a), a] = q(a), perm(a) = a XOR u XOR w, an
+    involution.  The defect R'Q + QR'^T is then formed row block by row
+    block, with (R'Q)[r, a] = R'[r, perm(a)] q(a) and
+    (QR'^T)[r, a] = q(perm(r)) R'[a, perm(r)].
     """
-    shifted = build_shifted_liouvillian(model).mat
-    parity = build_parity_superop(model).mat
-    defect = shifted @ parity + parity @ shifted.conj().T
-    return float(np.linalg.norm(defect) / max(1.0, np.linalg.norm(shifted)))
+    shifted = pauli_generator(model)
+    shifted[np.diag_indices_from(shifted)] += identity_component_shift(model)
+    codes = _basis_codes(model.n)
+    parts = []
+    for u, cu in model.u.terms.items():
+        for w, cw in model.w.terms.items():
+            perm, k = _word_products(codes, u, w)
+            parts.append((perm, cu * cw * _I_POWERS[k]))
+    size = shifted.shape[0]
+    step = max(1, _RESIDUAL_CHUNK // size)
+    total = 0.0
+    for start in range(0, size, step):
+        rows = slice(start, min(start + step, size))
+        defect = np.zeros((rows.stop - start, size), dtype=complex)
+        for perm, q in parts:
+            defect += shifted[rows][:, perm] * q
+            defect += q[perm[rows], None] * shifted[:, perm[rows]].T
+        total += float(np.sum(defect.real ** 2 + defect.imag ** 2))
+    # numpy sums rather than BLAS dot products, whose rounding depends on the
+    # BLAS thread count
+    return float(np.sqrt(total) / max(1.0, np.sqrt(np.sum(shifted ** 2))))

@@ -52,19 +52,36 @@ def apply_generator(model, rho) -> np.ndarray:
     )
 
 
-def generator_matrix(h_mat, lindblad_mats):
-    """Column-by-column generator matrix from plain matrix products.
-
-    Applies the generator to every matrix unit E_ab and stacks the
-    column-vectorized results.
-    """
-    dim = h_mat.shape[0]
+def _matrix_of(action, dim):
+    """Applies action to every matrix unit E_ab and stacks the column-vectorized results."""
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
     for col in range(dim * dim):
         unit = np.zeros((dim, dim), dtype=complex)
         unit[col % dim, col // dim] = 1.0  # column-stacked basis matrix
-        out[:, col] = _generator_action(h_mat, lindblad_mats, unit).ravel(order="F")
+        out[:, col] = action(unit).ravel(order="F")
     return out
+
+
+def generator_matrix(h_mat, lindblad_mats):
+    """Column-by-column generator matrix from plain matrix products."""
+    return _matrix_of(lambda rho: _generator_action(h_mat, lindblad_mats, rho), h_mat.shape[0])
+
+
+def pt_residual(model) -> float:
+    """||L'P + P L'^dag||_F / max(1, ||L'||_F) from plain dense matrices.
+
+    L' = L + s Id with s the identity component of sum_m {L_m, L_m^dag}
+    (its trace over the dimension); P is the matrix of rho -> U rho W.
+    """
+    h_mat = dense_operator(model.hamiltonian)
+    lindblad_mats = [dense_operator(lm) for lm in model.lindblads]
+    u, w = dense_operator(model.u), dense_operator(model.w)
+    dim = h_mat.shape[0]
+    shift = sum(np.trace(lm @ lm.conj().T + lm.conj().T @ lm).real for lm in lindblad_mats) / dim
+    shifted = generator_matrix(h_mat, lindblad_mats) + shift * np.eye(dim * dim)
+    parity = _matrix_of(lambda rho: u @ rho @ w, dim)
+    defect = shifted @ parity + parity @ shifted.conj().T
+    return float(np.linalg.norm(defect) / max(1.0, np.linalg.norm(shifted)))
 
 
 def analytic_constants(spec) -> tuple:

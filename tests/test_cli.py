@@ -38,6 +38,14 @@ OVERFLOWING_RATE = {
     "noise": {"type": "dephasing", "gammas": [1e200]},
 }
 
+# A non-Hermitian H: the generator would not be a Lindblad generator.
+NON_HERMITIAN_H = {
+    "n": 1,
+    "hamiltonian": {"fields_x": [0.5]},
+    "noise": {"type": "dephasing", "gammas": [0.3]},
+    "custom": {"h_extra": [{"word": "Z", "coeff": [0, 0.2]}]},
+}
+
 
 def write_model(tmp_path, doc, name="model.json"):
     path = tmp_path / name
@@ -118,17 +126,29 @@ class TestCheck:
         assert field in err
 
     @pytest.mark.parametrize(
-        "argv",
-        [("check",), ("spectrum",), ("spectrum", "--format", "json"), ("vmatrix",)],
-        ids=["check", "spectrum-csv", "spectrum-json", "vmatrix"],
+        "doc, argv, where",
+        [
+            (OVERFLOWING_RATE, ("check",), "non-finite"),
+            (OVERFLOWING_RATE, ("spectrum",), "non-finite"),
+            (OVERFLOWING_RATE, ("spectrum", "--format", "json"), "non-finite"),
+            (OVERFLOWING_RATE, ("vmatrix",), "non-finite"),
+            (NON_HERMITIAN_H, ("check",), "custom.h_extra"),
+            (NON_HERMITIAN_H, ("spectrum",), "custom.h_extra"),
+            (NON_HERMITIAN_H, ("vmatrix",), "custom.h_extra"),
+            (NON_HERMITIAN_H, ("scan",), "custom.h_extra"),
+        ],
+        ids=["check", "spectrum-csv", "spectrum-json", "vmatrix", "non-hermitian-check",
+             "non-hermitian-spectrum", "non-hermitian-vmatrix", "non-hermitian-scan"],
     )
-    def test_non_finite_result_is_input_error(self, tmp_path, capsys, argv):
-        path = write_model(tmp_path, OVERFLOWING_RATE)
+    def test_non_finite_result_is_input_error(self, tmp_path, capsys, doc, argv, where):
+        # input errors found past parsing: non-finite results, a non-Hermitian H
+        path = write_model(tmp_path, doc)
         with np.errstate(over="ignore", invalid="ignore"):
             code, out, err = run_cli(capsys, *argv, "--model", path)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert where in err
 
 
 class TestSpectrum:

@@ -122,6 +122,37 @@ class TestPairing:
         report = check_pt_pairing(eigs, tol=1e-8)
         assert report.passed
 
+    def test_matches_greedy_loop(self):
+        # reference: the per-candidate loop the argmin replaced
+        def loop_pairing(eigs):
+            values = list(canonical_sort(eigs))
+            used = [False] * len(values)
+            pairs, max_distance = [], 0.0
+            for i, lam in enumerate(values):
+                if used[i]:
+                    continue
+                used[i] = True
+                target = -lam.conjugate()
+                best_j, best_d = i, abs(lam - target)
+                for j in range(len(values)):
+                    if not used[j] and abs(values[j] - target) < best_d:
+                        best_j, best_d = j, abs(values[j] - target)
+                if best_j != i:
+                    used[best_j] = True
+                pairs.append((lam, values[best_j]))
+                max_distance = max(max_distance, best_d)
+            return tuple(pairs), max_distance
+
+        rng = np.random.default_rng(239)
+        spectra = [liouvillian_spectra(build_model(random_example2_spec(rng, 2))).eig_shifted]
+        for size in (1, 2, 7, 40):
+            # coarse values give exact ties between candidates
+            spectra.append(np.round(rng.normal(size=size), 1)
+                           + 1j * np.round(rng.normal(size=size), 1))
+        for eigs in spectra:
+            report = check_pt_pairing(eigs)
+            assert (report.pairs, report.max_distance) == loop_pairing(eigs)
+
     def test_unshifted_spectrum_fails(self):
         rng = np.random.default_rng(163)
         model = build_model(random_example1_spec(rng, 2))

@@ -6,6 +6,8 @@ from ptliouville import (
     Dephasing,
     DimensionError,
     Injection,
+    Model,
+    ModelConfigError,
     ModelSpec,
     PauliOperator,
     UncertifiedModelError,
@@ -17,10 +19,14 @@ from ptliouville import (
     check_lemma,
     classify_pt_phase,
     identity_component_shift,
+    liouvillian_spectra,
+    pauli_generator,
     pauli_to_dense,
     pt_residual,
+    symmetry_sectors,
     unvec,
     vec,
+    z2_symmetry_strings,
 )
 
 from _corpus import random_example1_spec, random_example2_spec
@@ -35,6 +41,7 @@ from _oracles import (
     dense_operator,
     generator_matrix,
 )
+from _oracles import pt_residual as oracle_pt_residual
 
 
 def random_density(rng, dim):
@@ -69,17 +76,23 @@ class TestPauliToDense:
 
 class TestVectorization:
     def test_sandwich_identity(self):
-        # vec(A rho B) = (B^T kron A) vec(rho), 100 random triples
+        # vec(U rho W) = (W^T kron U) vec(rho), through build_parity_superop
+        # with random operators U, W (sums of strings), 100 random triples
         rng = np.random.default_rng(83)
-        from ptliouville.superoperator import sandwich
+
+        def random_operator(n):
+            words = ("".join(rng.choice(list("IXYZ"), size=n)) for _ in range(3))
+            return PauliOperator(n, {w: complex(rng.normal(), rng.normal()) for w in words})
 
         for _ in range(100):
-            dim = int(rng.choice([2, 4, 8]))
-            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            n = int(rng.choice([1, 2, 3]))
+            u, w = random_operator(n), random_operator(n)
+            model = build_model(ModelSpec(n=n, custom=CustomParts(u=u, w=w)))
+            dim = 2 ** n
             rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            got = unvec(sandwich(a, b) @ vec(rho))
-            assert np.max(np.abs(got - a @ rho @ b)) < 1e-12 * max(1.0, np.max(np.abs(a @ rho @ b)))
+            want = dense_operator(u) @ rho @ dense_operator(w)
+            got = unvec(build_parity_superop(model).mat @ vec(rho))
+            assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
     def test_unvec_rejects_non_square(self):
         with pytest.raises(DimensionError):
@@ -287,3 +300,103 @@ class TestGeneratorInvariants:
                 direct = apply_generator(model, rho)
                 scale = max(1.0, float(np.max(np.abs(direct))))
                 assert np.max(np.abs(unvec(mat @ vec(rho)) - direct)) < 1e-12 * scale
+
+
+def _z0_field_control(n):
+    # condition (i) control: a Z_0 field anticommutes with X...X
+    rng = np.random.default_rng(227)
+    return ModelSpec(n=n, couplings=random_example1_spec(rng, n).couplings,
+                     fields=(0.3,) * n, noise=Dephasing((0.2,) * n),
+                     custom=CustomParts(h_extra=PauliOperator.single("Z", 0, n, 0.5)))
+
+
+def _complex_rate_specs():
+    return (
+        ModelSpec(n=2, couplings=((0, 1, 0.6, 0.4, -0.2),), fields=(0.3, -0.5),
+                  noise=Dephasing((0.2 + 0.1j, -0.3j))),
+        ModelSpec(n=3, couplings=((0, 1, 0.6, 0.4, -0.2), (1, 2, -0.3, 0.9, 0.5)),
+                  noise=Injection((0.8j, 0.6, 0.1 - 0.2j), (0.5, 0.3 + 0.4j, 0.7))),
+    )
+
+
+def _sector_cases():
+    """(spec, expected symmetry strings) for both families, complex rates and controls."""
+    rng = np.random.default_rng(229)
+    cases = []
+    for n in (1, 2, 3, 4):
+        cases.append((random_example1_spec(rng, n), ("X" * n,)))
+        cases.append((random_example2_spec(rng, n), ("Z" * n,)))
+    cases += [(spec, (("X" if spec.fields else "Z") * spec.n,)) for spec in _complex_rate_specs()]
+    cases.append((_z0_field_control(2), ()))
+    # H = 0 with Z dephasing: X, Y and Z all qualify (two independent bits),
+    # so each of the four basis words is its own sector
+    cases.append((ModelSpec(n=1, noise=Dephasing((0.4,))), ("X", "Y", "Z")))
+    return cases
+
+
+class TestPauliBasis:
+    def test_symmetry_strings(self):
+        for spec, strings in _sector_cases():
+            assert z2_symmetry_strings(build_model(spec)) == strings, spec
+
+    def test_generator_is_block_diagonal_over_sectors(self):
+        for spec, strings in _sector_cases():
+            model = build_model(spec)
+            mat = pauli_generator(model)
+            sectors = symmetry_sectors(model)
+            assert len(sectors) == (1, 2, 4, 4)[len(strings)]
+            assert sorted(np.concatenate(sectors).tolist()) == list(range(4 ** model.n))
+            assert len({idx.size for idx in sectors}) == 1  # equal blocks
+            inside = np.zeros(mat.shape, dtype=bool)
+            for idx in sectors:
+                inside[np.ix_(idx, idx)] = True
+            assert not np.any(mat[~inside])
+
+    def test_sector_spectra_match_dense_oracle(self):
+        for spec, _ in _sector_cases():
+            model = build_model(spec)
+            oracle = np.linalg.eigvals(generator_matrix(
+                dense_operator(model.hamiltonian),
+                [dense_operator(lm) for lm in model.lindblads],
+            ))
+            result = liouvillian_spectra(model)
+            assert_spectra_match(result.eig_liouvillian, oracle, 1e-8)
+            assert_spectra_match(result.eig_shifted, oracle + result.shift, 1e-8)
+
+    def test_column_stacking_view_matches_oracle(self):
+        for spec in _complex_rate_specs() + (_z0_field_control(2),):
+            model = build_model(spec)
+            oracle = generator_matrix(
+                dense_operator(model.hamiltonian),
+                [dense_operator(lm) for lm in model.lindblads],
+            )
+            assert np.max(np.abs(build_liouvillian(model).mat - oracle)) < 1e-12
+
+    def test_pt_residual_matches_dense_oracle(self):
+        rng = np.random.default_rng(233)
+        models = [build_model(random_example1_spec(rng, n)) for n in (1, 2, 3)]
+        models += [build_model(random_example2_spec(rng, n)) for n in (1, 2, 3)]
+        models += [build_model(spec) for spec in _complex_rate_specs()]
+        base = dict(fields=(0.3, -0.7), noise=Dephasing((0.2, 0.5)),
+                    couplings=((0, 1, 0.4, -0.3, 0.8),))
+        for extra in (
+            CustomParts(h_extra=PauliOperator.single("Z", 0, 2, 0.5)),               # (i)
+            CustomParts(lindblads_extra=(PauliOperator.single("X", 0, 2, 0.5),)),    # (ii)
+            CustomParts(lindblads_extra=(PauliOperator(2, {"ZI": 0.5, "ZX": 0.5}),)),  # (iii)
+            # U and W that are sums of strings
+            CustomParts(u=PauliOperator(2, {"XX": 0.6, "ZY": 0.8j}),
+                        w=PauliOperator(2, {"II": 0.5, "YZ": -0.5, "XI": 0.2})),
+        ):
+            models.append(build_model(ModelSpec(n=2, **base, custom=extra)))
+        for model in models:
+            assert abs(pt_residual(model) - oracle_pt_residual(model)) < 1e-12
+
+    def test_non_hermitian_hamiltonian_is_rejected(self):
+        h = PauliOperator(1, {"X": 0.5, "Z": 0.2j})
+        ident = PauliOperator.identity(1)
+        model = Model(1, h, (PauliOperator.term("Z", 0.3),), ident, ident, "custom")
+        with pytest.raises(ModelConfigError, match="Hermitian"):
+            pauli_generator(model)
+        with pytest.raises(ModelConfigError, match="custom.h_extra"):
+            build_model(ModelSpec(n=1, fields=(0.5,), noise=Dephasing((0.3,)),
+                                  custom=CustomParts(h_extra=PauliOperator.term("Z", 0.2j))))
