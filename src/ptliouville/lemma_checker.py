@@ -196,7 +196,7 @@ def check_condition_iii(model: Model) -> ConditionIIIReport:
         value = as_identity_multiple(acomm)
         if value is None:
             ident = "I" * model.n
-            leftover = acomm - PauliOperator(model.n, {ident: acomm.terms.get(ident, 0j)})
+            leftover = acomm - PauliOperator.identity(model.n) * acomm.terms.get(ident, 0j)
             return ConditionIIIReport(
                 False,
                 None,

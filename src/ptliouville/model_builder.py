@@ -10,13 +10,14 @@ Model type.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from .errors import DimensionError, ModelConfigError
-from .pauli_algebra import PauliOperator, sigma_minus, sigma_plus
+from .pauli_algebra import PauliOperator, _word, sigma_minus, sigma_plus
 
 Coupling = tuple[int, int, float, float, float]  # (j, k, jx, jy, jz) with j < k
 
@@ -89,11 +90,11 @@ def require_hermitian(h: PauliOperator, where: str) -> None:
 
 
 def validate_spec(spec: ModelSpec) -> None:
-    """Structural validation; raises ModelConfigError with the offending field."""
+    """Structural and finiteness validation; raises ModelConfigError naming the field."""
     if not isinstance(spec.n, int) or spec.n < 1:
         raise ModelConfigError(f"n must be a positive integer, got {spec.n!r}")
     seen = set()
-    for cpl in spec.couplings:
+    for i, cpl in enumerate(spec.couplings):
         j, k = cpl[0], cpl[1]
         if not (0 <= j < k < spec.n):
             raise ModelConfigError(
@@ -102,34 +103,38 @@ def validate_spec(spec: ModelSpec) -> None:
         if (j, k) in seen:
             raise ModelConfigError(f"duplicate coupling pair ({j},{k})")
         seen.add((j, k))
+        for key, value in zip(("jx", "jy", "jz"), cpl[2:]):
+            if not cmath.isfinite(value):
+                raise ModelConfigError(
+                    f"couplings[{i}].{key}: expected a finite number, got {value!r}"
+                )
     if spec.fields and len(spec.fields) != spec.n:
         raise ModelConfigError(
             f"fields: expected {spec.n} entries, got {len(spec.fields)}"
         )
-    if isinstance(spec.noise, Dephasing) and len(spec.noise.gammas) != spec.n:
-        raise ModelConfigError(
-            f"noise.gammas: expected {spec.n} entries, got {len(spec.noise.gammas)}"
-        )
-    if isinstance(spec.noise, Injection):
-        if len(spec.noise.a) != spec.n or len(spec.noise.b) != spec.n:
-            raise ModelConfigError(
-                f"noise.a/noise.b: expected {spec.n} entries each, got "
-                f"{len(spec.noise.a)}/{len(spec.noise.b)}"
-            )
-    if not (spec.scale >= 0):
-        raise ModelConfigError(f"scale must be >= 0, got {spec.scale!r}")
+    rates = vars(spec.noise) if spec.noise is not None else {}  # gammas, or a and b
+    for key, values in rates.items():
+        if len(values) != spec.n:
+            raise ModelConfigError(f"noise.{key}: expected {spec.n} entries, got {len(values)}")
+    for where, values in (("fields", spec.fields), *((f"noise.{k}", v) for k, v in rates.items())):
+        for i, value in enumerate(values):
+            if not cmath.isfinite(value):
+                raise ModelConfigError(f"{where}[{i}]: expected a finite number, got {value!r}")
+    if not (0 <= spec.scale < math.inf):
+        raise ModelConfigError(f"scale must be finite and >= 0, got {spec.scale!r}")
 
 
-def _coupling_hamiltonian(n: int, couplings) -> PauliOperator:
-    h = PauliOperator.zero(n)
+def _hamiltonian(n: int, couplings, fields=()) -> PauliOperator:
+    """Couplings then x-fields, summed once; the words are distinct and valid."""
+    terms: dict[str, complex] = {}
     for (j, k, jx, jy, jz) in couplings:
         for letter, strength in (("X", jx), ("Y", jy), ("Z", jz)):
             if strength != 0:
-                h = h + (
-                    PauliOperator.single(letter, j, n)
-                    @ PauliOperator.single(letter, k, n)
-                ) * strength
-    return h
+                terms[_word(n, letter, j, k)] = strength
+    for j, hj in enumerate(fields):
+        if hj != 0:
+            terms[_word(n, "X", j)] = hj
+    return PauliOperator._canonical(n, terms)
 
 
 def build_example1(spec: ModelSpec) -> Model:
@@ -138,17 +143,13 @@ def build_example1(spec: ModelSpec) -> Model:
     if not isinstance(spec.noise, Dephasing):
         raise ModelConfigError("example-1 build requires dephasing noise")
     n = spec.n
-    fields = spec.fields if spec.fields else (0.0,) * n
-    h = _coupling_hamiltonian(n, spec.couplings)
-    for j, hj in enumerate(fields):
-        if hj != 0:
-            h = h + PauliOperator.single("X", j, n, hj)
+    h = _hamiltonian(n, spec.couplings, spec.fields)
     lindblads = []
     for j, g in enumerate(spec.noise.gammas):
-        lm = PauliOperator.single("Z", j, n, spec.scale * g)
+        lm = PauliOperator._canonical(n, {_word(n, "Z", j): spec.scale * g})
         if lm.terms:
             lindblads.append(lm)
-    u = PauliOperator.term("X" * n)
+    u = PauliOperator._canonical(n, {"X" * n: 1.0})
     w = PauliOperator.identity(n)
     return Model(n, h, tuple(lindblads), u, w, "example1")
 
@@ -166,15 +167,15 @@ def build_example2(spec: ModelSpec) -> Model:
     if spec.fields and any(f != 0 for f in spec.fields):
         raise ModelConfigError("example-2 models admit no field terms")
     n = spec.n
-    h = _coupling_hamiltonian(n, spec.couplings)
+    h = _hamiltonian(n, spec.couplings)
     lindblads = []
     for j in range(n):
         for rate, op in ((spec.noise.a[j], sigma_plus(j, n)), (spec.noise.b[j], sigma_minus(j, n))):
             lm = op * (spec.scale * rate)
             if lm.terms:
                 lindblads.append(lm)
-    u = PauliOperator.term("Y" * n)
-    w = PauliOperator.term("X" * n)
+    u = PauliOperator._canonical(n, {"Y" * n: 1.0})
+    w = PauliOperator._canonical(n, {"X" * n: 1.0})
     return Model(n, h, tuple(lindblads), u, w, "example2")
 
 
@@ -192,7 +193,7 @@ def build_model(spec: ModelSpec) -> Model:
             )
         base = Model(
             spec.n,
-            _coupling_hamiltonian(spec.n, spec.couplings),
+            _hamiltonian(spec.n, spec.couplings),
             (),
             PauliOperator.identity(spec.n),
             PauliOperator.identity(spec.n),
@@ -226,8 +227,8 @@ def _apply_custom(base: Model, parts: CustomParts) -> Model:
 
 def scale_noise(model: Model, lam: float) -> Model:
     """Multiply every channel by lam and drop the zero ones; H, U, W untouched."""
-    if not (lam >= 0):
-        raise ModelConfigError(f"noise scale must be >= 0, got {lam!r}")
+    if not (0 <= lam < math.inf):
+        raise ModelConfigError(f"noise scale must be finite and >= 0, got {lam!r}")
     scaled = (lm * lam for lm in model.lindblads)
     return replace(model, lindblads=tuple(lm for lm in scaled if lm.terms))
 

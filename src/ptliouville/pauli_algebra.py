@@ -5,10 +5,17 @@ A :class:`PauliOperator` is a finite complex combination of such words,
 kept canonical by merging equal words and pruning coefficients below
 ``PRUNE_TOL`` after every arithmetic step.  All operations here are pure
 and cost polynomial in the number of stored terms, never in 2^n.
+
+User input enters through ``PauliOperator(n, terms)`` (and ``term``,
+``single``), which checks every word and rejects non-finite coefficients.
+``PauliOperator._canonical`` only converts and prunes: it takes arithmetic
+results, whose words are ``string_mul`` products of valid words, and words
+the builders spell themselves.  Checking those again made a T-term sum O(T^2 n).
 """
 
 from __future__ import annotations
 
+import cmath
 from typing import Iterator, Mapping, Optional
 
 from .errors import DimensionError
@@ -22,24 +29,26 @@ PauliString = str
 
 # Single-site products: (a, b) -> (phase, a*b).  Phases are exact fourth
 # roots of unity, so repeated products stay exact in floating point.
-_MUL1 = {
-    ("I", "I"): (1.0 + 0j, "I"),
-    ("I", "X"): (1.0 + 0j, "X"),
-    ("I", "Y"): (1.0 + 0j, "Y"),
-    ("I", "Z"): (1.0 + 0j, "Z"),
-    ("X", "I"): (1.0 + 0j, "X"),
-    ("X", "X"): (1.0 + 0j, "I"),
-    ("X", "Y"): (1j, "Z"),
-    ("X", "Z"): (-1j, "Y"),
-    ("Y", "I"): (1.0 + 0j, "Y"),
-    ("Y", "X"): (-1j, "Z"),
-    ("Y", "Y"): (1.0 + 0j, "I"),
-    ("Y", "Z"): (1j, "X"),
-    ("Z", "I"): (1.0 + 0j, "Z"),
-    ("Z", "X"): (1j, "Y"),
-    ("Z", "Y"): (-1j, "X"),
-    ("Z", "Z"): (1.0 + 0j, "I"),
-}
+_MUL1 = {("I", a): (1.0 + 0j, a) for a in PAULI_LETTERS}
+_MUL1.update({(a, "I"): (1.0 + 0j, a) for a in "XYZ"})
+_MUL1.update({(a, a): (1.0 + 0j, "I") for a in "XYZ"})
+_MUL1.update({(a, b): (1j, c) for a, b, c in ("XYZ", "YZX", "ZXY")})  # XY = iZ, cyclically
+_MUL1.update({(b, a): (-1j, c) for a, b, c in ("XYZ", "YZX", "ZXY")})
+
+
+def _check_qubits(n) -> None:
+    if not isinstance(n, int) or n < 1:
+        raise DimensionError(f"qubit count must be a positive integer, got {n!r}")
+
+
+def _word(n: int, letter: str, *sites: int) -> str:
+    """The n-site word with ``letter`` on ``sites`` and I elsewhere."""
+    letters = ["I"] * n
+    for site in sites:
+        if not 0 <= site < n:
+            raise DimensionError(f"site {site} out of range for n={n}")
+        letters[site] = letter
+    return "".join(letters)
 
 
 def _check_word(word: str, n: int) -> None:
@@ -80,17 +89,27 @@ class PauliOperator:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Optional[Mapping[str, complex]] = None):
-        if not isinstance(n, int) or n < 1:
-            raise DimensionError(f"qubit count must be a positive integer, got {n!r}")
-        clean: dict[str, complex] = {}
-        if terms:
-            for word, coeff in terms.items():
-                _check_word(word, n)
-                c = complex(coeff)
-                if abs(c) >= PRUNE_TOL:
-                    clean[word] = c
+        _check_qubits(n)
+        terms = terms or {}
+        for word, coeff in terms.items():
+            _check_word(word, n)
+            if not cmath.isfinite(complex(coeff)):
+                raise ValueError(f"coefficient of {word!r} is not finite: {coeff!r}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", self._canonical(n, terms).terms)
+
+    @classmethod
+    def _canonical(cls, n: int, terms: Mapping[str, complex]) -> "PauliOperator":
+        """Unchecked constructor for words known valid on n sites: convert and prune only."""
+        clean = {}
+        for word, coeff in terms.items():
+            c = complex(coeff)
+            if abs(c) >= PRUNE_TOL:
+                clean[word] = c
+        op = object.__new__(cls)
+        object.__setattr__(op, "n", n)
+        object.__setattr__(op, "terms", clean)
+        return op
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("PauliOperator is immutable")
@@ -103,7 +122,8 @@ class PauliOperator:
 
     @classmethod
     def identity(cls, n: int) -> "PauliOperator":
-        return cls(n, {"I" * n: 1.0})
+        _check_qubits(n)
+        return cls._canonical(n, {"I" * n: 1.0})
 
     @classmethod
     def term(cls, word: str, coeff: complex = 1.0) -> "PauliOperator":
@@ -113,10 +133,7 @@ class PauliOperator:
     @classmethod
     def single(cls, letter: str, site: int, n: int, coeff: complex = 1.0) -> "PauliOperator":
         """Single-site Pauli ``letter`` acting on ``site`` of an n-site register."""
-        if not 0 <= site < n:
-            raise DimensionError(f"site {site} out of range for n={n}")
-        word = "I" * site + letter + "I" * (n - site - 1)
-        return cls(n, {word: coeff})
+        return cls(n, {_word(n, letter, site): coeff})
 
     # ---- canonical views ----
 
@@ -138,7 +155,7 @@ class PauliOperator:
         acc = dict(self.terms)
         for word, coeff in other.terms.items():
             acc[word] = acc.get(word, 0j) + coeff
-        return PauliOperator(self.n, acc)
+        return PauliOperator._canonical(self.n, acc)
 
     def __radd__(self, other):
         if other == 0:  # lets sum() start from 0
@@ -149,10 +166,10 @@ class PauliOperator:
         return self + (-other)
 
     def __neg__(self) -> "PauliOperator":
-        return PauliOperator(self.n, {w: -c for w, c in self.terms.items()})
+        return PauliOperator._canonical(self.n, {w: -c for w, c in self.terms.items()})
 
     def __mul__(self, scalar: complex) -> "PauliOperator":
-        return PauliOperator(self.n, {w: c * scalar for w, c in self.terms.items()})
+        return PauliOperator._canonical(self.n, {w: c * scalar for w, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -168,11 +185,11 @@ class PauliOperator:
             for wb, cb in other.terms.items():
                 phase, word = string_mul(wa, wb)
                 acc[word] = acc.get(word, 0j) + ca * cb * phase
-        return PauliOperator(self.n, acc)
+        return PauliOperator._canonical(self.n, acc)
 
     def dagger(self) -> "PauliOperator":
         """Hermitian adjoint: Pauli words are self-adjoint, so conjugate coefficients."""
-        return PauliOperator(self.n, {w: c.conjugate() for w, c in self.terms.items()})
+        return PauliOperator._canonical(self.n, {w: c.conjugate() for w, c in self.terms.items()})
 
     # ---- comparison / display ----
 
@@ -211,9 +228,10 @@ def as_identity_multiple(a: PauliOperator) -> Optional[complex]:
 
 def sigma_plus(site: int, n: int) -> PauliOperator:
     """Raising operator (X + iY)/2 on ``site``."""
-    return PauliOperator.single("X", site, n, 0.5) + PauliOperator.single("Y", site, n, 0.5j)
+    return PauliOperator._canonical(n, {_word(n, "X", site): 0.5, _word(n, "Y", site): 0.5j})
 
 
 def sigma_minus(site: int, n: int) -> PauliOperator:
     """Lowering operator (X - iY)/2 on ``site``."""
-    return PauliOperator.single("X", site, n, 0.5) + PauliOperator.single("Y", site, n, -0.5j)
+    y = _word(n, "Y", site)  # complex(0, -0.5), not -0.5j: the sum X/2 - iY/2 has real part +0.0
+    return PauliOperator._canonical(n, {_word(n, "X", site): 0.5, y: complex(0, -0.5)})

@@ -18,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import BrokenPhaseError, ModelConfigError, UncertifiedModelError
 from .lemma_checker import check_condition_iii, check_lemma
-from .model_builder import Model, ModelSpec, build_model, scale_noise
+from .model_builder import Model, ModelSpec, build_model, require_hermitian, scale_noise
 from .pauli_algebra import commutator
 from .superoperator import (
     SuperOp,
@@ -156,13 +156,11 @@ def hamiltonian_eigenbasis(model: Model, resolve_w: bool = False) -> EnergyEigen
 
     With resolve_w, each degenerate energy cluster is rotated so that every
     eigenvector also diagonalizes W (required by the V-matrix symmetry
-    argument); raises ValueError when [H, W] does not vanish.
+    argument); raises ValueError when [H, W] does not vanish, and
+    ModelConfigError (a ValueError) when H is not Hermitian.
     """
-    hd = pauli_to_dense(model.hamiltonian)
-    herm_defect = float(np.max(np.abs(hd - hd.conj().T))) if hd.size else 0.0
-    if herm_defect > 1e-12 * max(1.0, float(np.max(np.abs(hd)))):
-        raise ValueError(f"Hamiltonian is not Hermitian (defect {herm_defect:.3e})")
-    energies, vectors = np.linalg.eigh(hd)
+    require_hermitian(model.hamiltonian, "hamiltonian")
+    energies, vectors = np.linalg.eigh(pauli_to_dense(model.hamiltonian))
     if not resolve_w:
         return EnergyEigenbasis(energies, vectors, None)
 

@@ -151,6 +151,22 @@ class TestCheck:
         assert where in err
 
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([{"word": "QI", "coeff": 0.5}], "invalid Pauli letter 'Q'"),
+            ([{"word": "ZI", "coeff": 0.5}, {"word": "Z", "coeff": 0.5}], "length 1, expected 2"),
+        ],
+        ids=["bad-letter", "wrong-length"],
+    )
+    def test_bad_custom_word_is_input_error(self, tmp_path, capsys, entries, message):
+        path = write_model(tmp_path, {**EXAMPLE1_N2, "custom": {"h_extra": entries}})
+        code, out, err = run_cli(capsys, "check", "--model", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: custom.h_extra: ") and message in err
+
+
 class TestSpectrum:
     def test_commutator_rows(self, tmp_path, capsys):
         doc = {

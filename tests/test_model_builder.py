@@ -1,7 +1,12 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
+import ptliouville.pauli_algebra as pauli_algebra
 from ptliouville import (
+    PRUNE_TOL,
     CustomParts,
     Dephasing,
     Injection,
@@ -12,6 +17,7 @@ from ptliouville import (
     build_example2,
     build_model,
     check_condition_iii,
+    check_lemma,
     parse_model_config,
     scale_noise,
     sigma_minus,
@@ -19,7 +25,7 @@ from ptliouville import (
 )
 
 from _corpus import random_example1_spec, random_example2_spec
-from _oracles import dense_operator
+from _oracles import analytic_constants, dense_operator
 
 
 class TestBuildExample1:
@@ -274,3 +280,109 @@ class TestCustomModels:
         )
         model = build_model(parse_model_config(text))
         assert model.hamiltonian.terms["ZI"] == 0.5
+
+
+class TestLinearBuilder:
+    def test_matches_sequential_sum(self):
+        # reference: the term-by-term sum h = h + term the one-shot build replaced
+        def sequential_hamiltonian(spec):
+            n = spec.n
+            h = PauliOperator.zero(n)
+            for (j, k, jx, jy, jz) in spec.couplings:
+                for letter, strength in (("X", jx), ("Y", jy), ("Z", jz)):
+                    if strength != 0:
+                        h = h + (
+                            PauliOperator.single(letter, j, n)
+                            @ PauliOperator.single(letter, k, n)
+                        ) * strength
+            for j, hj in enumerate(spec.fields):
+                if hj != 0:
+                    h = h + PauliOperator.single("X", j, n, hj)
+            return h
+
+        rng = np.random.default_rng(241)
+        for n in range(1, 7):
+            for make in (random_example1_spec, random_example2_spec):
+                spec = make(rng, n)
+                if n > 1:
+                    # a zero strength, and a nonzero one that pruning drops
+                    (j, k, jx, _, jz), *rest = spec.couplings
+                    spec = ModelSpec(n, ((j, k, jx, 0.0, jz * PRUNE_TOL), *rest),
+                                     spec.fields, spec.noise)
+                want = sequential_hamiltonian(spec)
+                got = build_model(spec).hamiltonian
+                assert got.terms == want.terms
+                assert list(got.terms) == list(want.terms)
+
+    @pytest.mark.parametrize("make", [random_example1_spec, random_example2_spec],
+                             ids=["family1", "family2"])
+    def test_certifies_64_qubits(self, make):
+        spec = make(np.random.default_rng(64), 64)
+        report = check_lemma(build_model(spec))
+        assert report.overall
+        assert report.cond_iii.constants == pytest.approx(analytic_constants(spec), rel=1e-12)
+
+    def test_family_path_checks_no_words(self, monkeypatch):
+        # the library spells the family words itself; only user words are checked
+        calls = []
+        check_word = pauli_algebra._check_word
+
+        def counting(word, n):
+            calls.append(word)
+            check_word(word, n)
+
+        monkeypatch.setattr(pauli_algebra, "_check_word", counting)
+        rng = np.random.default_rng(251)
+        for make in (random_example1_spec, random_example2_spec):
+            assert check_lemma(build_model(make(rng, 6))).overall
+        assert calls == []
+
+        text = (
+            '{"n":2,"hamiltonian":{"fields_x":[0.3,0.7]},'
+            '"noise":{"type":"dephasing","gammas":[0.2,0.4]},'
+            '"custom":{"h_extra":[{"word":"ZI","coeff":0.5},{"word":"IZ","coeff":0.1},'
+            '{"word":"ZI","coeff":0.2}],"lindblads_extra":[[{"word":"XX","coeff":0.3}]]}}'
+        )
+        parse_model_config(text)
+        assert sorted(calls) == ["IZ", "XX", "ZI"]
+
+
+NAN, INF = math.nan, math.inf
+NONFINITE_SPECS = {
+    "nan-coupling": (ModelSpec(n=2, couplings=((0, 1, NAN, 0.3, 0.2),), fields=(0.1, NAN),
+                               noise=Dephasing((1.0, 0.5))), "couplings[0].jx"),
+    "inf-coupling": (ModelSpec(n=2, couplings=((0, 1, 1.0, 0.3, -INF),),
+                               noise=Dephasing((1.0, 0.5))), "couplings[0].jz"),
+    "nan-field": (ModelSpec(n=2, couplings=((0, 1, 1.0, 0.3, 0.2),), fields=(0.1, NAN),
+                            noise=Dephasing((1.0, 0.5))), "fields[1]"),
+    "nan-gamma": (ModelSpec(n=2, fields=(0.1, 0.2), noise=Dephasing((1.0, NAN))),
+                  "noise.gammas[1]"),
+    "inf-gamma-imag": (ModelSpec(n=1, fields=(0.1,), noise=Dephasing((complex(0.5, INF),))),
+                       "noise.gammas[0]"),
+    "nan-injection-a": (ModelSpec(n=1, noise=Injection((complex(NAN, 0.0),), (0.5,))),
+                        "noise.a[0]"),
+    "inf-injection-b": (ModelSpec(n=1, noise=Injection((0.5,), (-INF,))), "noise.b[0]"),
+    "inf-scale": (ModelSpec(n=1, fields=(0.1,), noise=Dephasing((0.5,)), scale=INF), "scale"),
+    "nan-scale": (ModelSpec(n=1, fields=(0.1,), noise=Dephasing((0.5,)), scale=NAN), "scale"),
+}
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("spec, field", NONFINITE_SPECS.values(), ids=NONFINITE_SPECS.keys())
+    def test_spec_rejected(self, spec, field):
+        with pytest.raises(ModelConfigError, match=re.escape(field)):
+            build_model(spec)
+
+    @pytest.mark.parametrize("lam", [NAN, INF], ids=["nan", "inf"])
+    def test_scale_noise_rejected(self, lam):
+        model = build_example1(ModelSpec(n=1, fields=(0.5,), noise=Dephasing((0.2,))))
+        with pytest.raises(ModelConfigError, match="noise scale"):
+            scale_noise(model, lam)
+
+    @pytest.mark.parametrize("coeff", [NAN, INF, complex(0.0, -INF), complex(NAN, 1.0)],
+                             ids=["nan", "inf", "inf-imag", "nan-real"])
+    def test_operator_rejected(self, coeff):
+        with pytest.raises(ValueError, match="not finite"):
+            PauliOperator(1, {"X": coeff})
+        with pytest.raises(ValueError, match="not finite"):
+            PauliOperator.single("Z", 1, 2, coeff)

@@ -9,6 +9,7 @@ from ptliouville import (
     Dephasing,
     EnergyEigenbasis,
     Injection,
+    Model,
     ModelConfigError,
     ModelSpec,
     PauliOperator,
@@ -97,8 +98,9 @@ class TestEigenSpectrum:
     def test_every_generator_solve_rejects_non_finite(self):
         # an inf channel coefficient reaches the dense generator as inf/nan;
         # the guard raises numpy's LinAlgError (a ValueError) with its own
-        # message, hence the message match
-        inf_channel = CustomParts(lindblads_extra=(PauliOperator.term("Z", np.inf),))
+        # message, hence the message match.  The checked constructor rejects
+        # inf, so the coefficient comes from an overflowing product.
+        inf_channel = CustomParts(lindblads_extra=(PauliOperator.term("Z", 1e200) * 1e200,))
         model = build_model(ModelSpec(n=1, fields=(1.0,), noise=Dephasing((0.5,)),
                                       custom=inf_channel))
         basis = hamiltonian_eigenbasis(model)
@@ -212,6 +214,17 @@ class TestEigenbasis:
         model = build_model(spec)
         with pytest.raises(ValueError, match="W-parity"):
             hamiltonian_eigenbasis(model, resolve_w=True)
+
+    def test_non_hermitian_rejected(self):
+        # a hand-built Model skips build_model's check; the eigenbasis applies
+        # the same exact rule, so a tiny imaginary part is rejected as well
+        ident = PauliOperator.identity(1)
+        for im in (0.2, 1e-13):
+            h = PauliOperator(1, {"X": 0.5, "Z": complex(0, im)})
+            model = Model(1, h, (PauliOperator.term("Z", 0.3),), ident, ident, "custom")
+            for resolve_w in (False, True):
+                with pytest.raises(ModelConfigError, match="Hermitian"):
+                    hamiltonian_eigenbasis(model, resolve_w=resolve_w)
 
     def test_orthonormality(self):
         rng = np.random.default_rng(173)
