@@ -3,14 +3,20 @@
 All spectra are dense (complete eigenvalue sets are required), so the
 practical size limit is n <= 6.  Every generator spectrum is solved from
 the real Pauli-basis matrix of superoperator.pauli_generator, one Z2
-symmetry sector (diagonal block) at a time.  Scans over the noise scale evaluate
-independent models and are safe to parallelize externally; nothing here
-shares writable state.
+symmetry sector (diagonal block) at a time.
+
+A scan keeps the sector blocks of the Hamiltonian part R_H and the channel
+part R_D, assembled once; at noise scale lambda the generator is
+R_H + lambda^2 R_D, so a probe costs one axpy per block plus its sector
+solves.  Bounds outside 0 < lambda_min < lambda_max < inf and a tol_im
+outside 0 < tol_im < inf raise ModelConfigError (CLI exit 2).  Nothing here
+shares writable state, so scans are safe to parallelize externally.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -18,8 +24,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import BrokenPhaseError, ModelConfigError, UncertifiedModelError
 from .lemma_checker import check_condition_iii, check_lemma
-from .model_builder import Model, ModelSpec, build_model, require_hermitian, scale_noise
-from .pauli_algebra import commutator
+from .model_builder import Model, ModelSpec, build_model, require_hermitian
+from .pauli_algebra import PauliOperator, commutator
 from .superoperator import (
     SuperOp,
     identity_component_shift,
@@ -64,14 +70,19 @@ def _eigvals(mat) -> np.ndarray:
     return np.linalg.eigvals(mat)
 
 
-def _sector_eigvals(mat: np.ndarray, sectors, shift: float = 0.0) -> np.ndarray:
-    """Unsorted eigenvalues of mat + shift * I, one diagonal block per sector."""
-    parts = []
+def _sector_blocks(mat: np.ndarray, sectors, shift: float = 0.0) -> list[np.ndarray]:
+    """Diagonal blocks of mat + shift * I, one per sector (copies)."""
+    blocks = []
     for idx in sectors:
         block = mat[np.ix_(idx, idx)]
         block[np.diag_indices(idx.size)] += shift
-        parts.append(_eigvals(block))
-    return np.concatenate(parts, dtype=complex)
+        blocks.append(block)
+    return blocks
+
+
+def _sector_eigvals(mat: np.ndarray, sectors, shift: float = 0.0) -> np.ndarray:
+    """Unsorted eigenvalues of mat + shift * I, one diagonal block per sector."""
+    return np.concatenate([_eigvals(b) for b in _sector_blocks(mat, sectors, shift)], dtype=complex)
 
 
 def eigen_spectrum(superop) -> np.ndarray:
@@ -277,37 +288,47 @@ class ScanResult:
         }
 
 
-def _imaginary_axis_count(model: Model, tol_im: float) -> tuple[np.ndarray, int, float]:
-    """Eigenvalues of L' = L + shift * I, their imaginary-axis count, the shift.
+def _axis_count(blocks: list[np.ndarray], n: int, tol_im: float) -> tuple[np.ndarray, int, str]:
+    """Eigenvalues of the sector blocks of L', their imaginary-axis count and phase label.
 
-    Classification and the uniform rate both count here, so UNBROKEN holds
-    exactly when a uniform rate exists.  Both need the channel constants of
-    condition (iii): without them L' is not the anti-symmetric generator.
-    The axis threshold is relative to ||L'||_F, which the unitary change to
-    the Pauli basis leaves unchanged.
+    Classification, the uniform rate and every scan probe count here, so
+    UNBROKEN (at least N^2 - N eigenvalues on the axis, order-free since
+    population and coherence sectors mix) holds exactly when a uniform rate
+    exists.  The threshold is tol_im times ||L'||_F (basis-independent; the
+    blocks hold every nonzero entry), summed by numpy: a BLAS dot product
+    rounds differently with the thread count.
+    """
+    if not (0 < tol_im < math.inf):
+        raise ModelConfigError(f"tol_im must be finite and > 0, got {tol_im!r}")
+    eigs = np.concatenate([_eigvals(b) for b in blocks], dtype=complex)
+    threshold = tol_im * float(np.sqrt(np.sum([np.sum(b * b) for b in blocks])))
+    count = int(np.sum(np.abs(eigs.real) < threshold))
+    dim = 2 ** n
+    return eigs, count, UNBROKEN if count >= dim * dim - dim else BROKEN
+
+
+def _imaginary_axis_count(model: Model, tol_im: float) -> tuple[np.ndarray, int, str, float]:
+    """_axis_count of L' = L + shift * I, plus the shift.
+
+    Needs condition (iii)'s channel constants: without them L' is not the
+    anti-symmetric generator.
     """
     if check_condition_iii(model).constants is None:
         raise UncertifiedModelError(
             "channel constants are unavailable: some {L_m, L_m^dag} is not an identity multiple"
         )
     shift = identity_component_shift(model)
-    shifted = pauli_generator(model)
-    shifted[np.diag_indices_from(shifted)] += shift
-    eigs = _sector_eigvals(shifted, symmetry_sectors(model))
-    threshold = tol_im * float(np.linalg.norm(shifted))
-    return eigs, int(np.sum(np.abs(eigs.real) < threshold)), shift
+    blocks = _sector_blocks(pauli_generator(model), symmetry_sectors(model), shift)
+    return (*_axis_count(blocks, model.n, tol_im), shift)
 
 
 def classify_pt_phase(model: Model, tol_im: float = TOL_IM) -> PhaseClassification:
     """UNBROKEN iff at least N^2 - N shifted eigenvalues sit on the imaginary axis.
 
     The axis threshold is tol_im relative to the Frobenius norm of the
-    shifted generator; the count criterion is order-free on purpose, since
-    population and coherence sectors mix at finite coupling.
+    shifted generator.
     """
-    _, count, _ = _imaginary_axis_count(model, tol_im)
-    dim = 2 ** model.n
-    label = UNBROKEN if count >= dim * dim - dim else BROKEN
+    _, count, label, _ = _imaginary_axis_count(model, tol_im)
     return PhaseClassification(count, label)
 
 
@@ -323,11 +344,14 @@ def scan_pt_breaking(
     The base model (built from the given parameter record) must certify;
     the probes multiply its channels by lambda.  When both endpoints
     classify alike the result carries gamma_pt = None ("no transition in
-    range").
+    range").  For lambda > 0, {lambda L, lambda L^dag} = lambda^2 {L, L^dag},
+    so the base's channel constants hold at every probe, scaled by lambda^2,
+    and each probe's L' is H_blk + lambda^2 (D_blk + shift * I) per sector.
     """
-    if not (0 < lambda_min < lambda_max):
+    if not (0 < lambda_min < lambda_max < math.inf):
         raise ModelConfigError(
-            f"scan bounds must satisfy 0 < lambda_min < lambda_max, got ({lambda_min}, {lambda_max})"
+            "scan bounds must satisfy 0 < lambda_min < lambda_max < inf, "
+            f"got ({lambda_min}, {lambda_max})"
         )
     if not (resolution > 0):
         raise ModelConfigError(f"scan resolution must be positive, got {resolution}")
@@ -335,12 +359,18 @@ def scan_pt_breaking(
     if not check_lemma(base).overall:
         raise UncertifiedModelError("base model fails symmetry certification; scan is undefined")
 
+    sectors = symmetry_sectors(base)
+    h_blocks = _sector_blocks(pauli_generator(replace(base, lindblads=())), sectors)
+    no_h = replace(base, hamiltonian=PauliOperator.zero(base.n))
+    d_blocks = _sector_blocks(pauli_generator(no_h), sectors, identity_component_shift(base))
     probes: list[ScanProbe] = []
 
     def probe(lam: float) -> str:
-        result = classify_pt_phase(scale_noise(base, lam), tol_im)
-        probes.append(ScanProbe(lam, result.n_imag_axis, result.classification))
-        return result.classification
+        mu = lam * lam
+        _, count, label = _axis_count([h + mu * d for h, d in zip(h_blocks, d_blocks)],
+                                      base.n, tol_im)
+        probes.append(ScanProbe(lam, count, label))
+        return label
 
     lo, hi = float(lambda_min), float(lambda_max)
     lo_cls = probe(lo)
@@ -371,10 +401,9 @@ def check_uniform_rate(model: Model, tol_im: float = TOL_IM) -> UniformRateRepor
     real parts must vanish, i.e. those of L equal -sum(c_m).  Raises
     BrokenPhaseError when the model does not classify UNBROKEN.
     """
-    shifted, count, shift = _imaginary_axis_count(model, tol_im)
-    dim = 2 ** model.n
-    n_coh = dim * dim - dim
-    if count < n_coh:
+    shifted, _, label, shift = _imaginary_axis_count(model, tol_im)
+    n_coh = 4 ** model.n - 2 ** model.n
+    if label == BROKEN:
         raise BrokenPhaseError(
             "model classifies BROKEN at this noise scale; no uniform coherence rate exists"
         )

@@ -67,19 +67,24 @@ def generator_matrix(h_mat, lindblad_mats):
     return _matrix_of(lambda rho: _generator_action(h_mat, lindblad_mats, rho), h_mat.shape[0])
 
 
+def shifted_generator_matrix(h_mat, lindblad_mats):
+    """generator_matrix plus s Id, with s = Tr(sum_m {L_m, L_m^dag}) / dim."""
+    dim = h_mat.shape[0]
+    shift = sum(np.trace(lm @ lm.conj().T + lm.conj().T @ lm).real for lm in lindblad_mats) / dim
+    return generator_matrix(h_mat, lindblad_mats) + shift * np.eye(dim * dim)
+
+
 def pt_residual(model) -> float:
     """||L'P + P L'^dag||_F / max(1, ||L'||_F) from plain dense matrices.
 
     L' = L + s Id with s the identity component of sum_m {L_m, L_m^dag}
     (its trace over the dimension); P is the matrix of rho -> U rho W.
     """
-    h_mat = dense_operator(model.hamiltonian)
-    lindblad_mats = [dense_operator(lm) for lm in model.lindblads]
+    shifted = shifted_generator_matrix(
+        dense_operator(model.hamiltonian), [dense_operator(lm) for lm in model.lindblads]
+    )
     u, w = dense_operator(model.u), dense_operator(model.w)
-    dim = h_mat.shape[0]
-    shift = sum(np.trace(lm @ lm.conj().T + lm.conj().T @ lm).real for lm in lindblad_mats) / dim
-    shifted = generator_matrix(h_mat, lindblad_mats) + shift * np.eye(dim * dim)
-    parity = _matrix_of(lambda rho: u @ rho @ w, dim)
+    parity = _matrix_of(lambda rho: u @ rho @ w, u.shape[0])
     defect = shifted @ parity + parity @ shifted.conj().T
     return float(np.linalg.norm(defect) / max(1.0, np.linalg.norm(shifted)))
 

@@ -239,6 +239,29 @@ class TestScan:
         tail = json.loads(out.strip().splitlines()[-1])
         assert tail["gamma_pt"] is None
 
+    @pytest.mark.parametrize(
+        "argv, where",
+        [
+            (("--tol-im", "nan"), "tol_im"),
+            (("--tol-im", "-1"), "tol_im"),
+            (("--tol-im", "inf"), "tol_im"),
+            (("--lambda-max", "inf"), "lambda_max < inf"),
+            (("--lambda-max", "nan"), "lambda_max < inf"),
+            # finite bound, but lambda^2 overflows: the non-finite generator guard
+            (("--lambda-max", "1e200"), "non-finite"),
+        ],
+        ids=["tol-im-nan", "tol-im-negative", "tol-im-inf", "lambda-max-inf", "lambda-max-nan",
+             "lambda-max-overflow"],
+    )
+    def test_bad_scan_parameter_is_input_error(self, tmp_path, capsys, argv, where):
+        path = write_model(tmp_path, EXAMPLE1_N2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(capsys, "scan", "--model", path, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert where in err
+
     def test_uncertified_model_exits_one(self, tmp_path, capsys):
         doc = dict(EXAMPLE1_N2)
         doc["custom"] = {"h_extra": [{"word": "ZI", "coeff": 0.5}]}

@@ -24,21 +24,26 @@ from ptliouville import (
     classify_pt_phase,
     eigen_spectrum,
     hamiltonian_eigenbasis,
+    identity_component_shift,
     liouvillian_spectra,
     match_bohr_frequencies,
+    pauli_generator,
     scale_noise,
     scan_pt_breaking,
     sigma_plus,
+    symmetry_sectors,
     v_matrix,
 )
+from ptliouville import spectral_analysis
 
-from _corpus import random_example1_spec, random_example2_spec
+from _corpus import mixed_corpus, random_example1_spec, random_example2_spec
 from _oracles import (
     analytic_constants,
     assert_spectra_match,
     bloch_liouvillian_eigs,
     bloch_transition_scale,
     dense_operator,
+    shifted_generator_matrix,
 )
 
 
@@ -338,6 +343,84 @@ class TestScan:
     def test_bad_bounds_rejected(self):
         with pytest.raises(ModelConfigError):
             scan_pt_breaking(single_qubit_spec(), 2.0, 0.1)
+
+    @pytest.mark.parametrize("lambda_max", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_bound_rejected(self, lambda_max):
+        with pytest.raises(ModelConfigError, match="lambda_max < inf"):
+            scan_pt_breaking(single_qubit_spec(), 0.1, lambda_max)
+
+    def test_overflowing_bound_is_non_finite_generator(self):
+        # lambda^2 = 1e400 overflows: the probe's blocks are not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+                scan_pt_breaking(single_qubit_spec(), 0.1, 1e200)
+
+    @pytest.mark.parametrize("tol_im", [np.nan, -1.0, 0.0, np.inf],
+                             ids=["nan", "neg", "zero", "inf"])
+    def test_tol_im_must_be_positive_and_finite(self, tol_im):
+        model = build_model(single_qubit_spec(1.0, 0.5))
+        for count in (classify_pt_phase, check_uniform_rate):
+            with pytest.raises(ModelConfigError, match="tol_im"):
+                count(model, tol_im)
+        with pytest.raises(ModelConfigError, match="tol_im"):
+            scan_pt_breaking(single_qubit_spec(), 0.1, 2.0, tol_im=tol_im)
+
+    def test_two_assemblies_per_scan(self, monkeypatch):
+        # R_H and R_D are assembled once; no probe assembles a generator
+        calls = []
+
+        def counting(model):
+            calls.append(model)
+            return pauli_generator(model)
+
+        monkeypatch.setattr(spectral_analysis, "pauli_generator", counting)
+        seen = []
+        for lo, hi in ((0.1, 2.0), (0.01, 0.05)):
+            calls.clear()
+            result = scan_pt_breaking(single_qubit_spec(1.0, 1.0), lo, hi, resolution=1e-4)
+            seen.append((len(result.probes), len(calls)))
+        assert seen[0][0] > 10 and seen[1][0] == 2
+        assert [assemblies for _, assemblies in seen] == [2, 2]
+
+    def test_probes_match_rebuilt_models(self, monkeypatch):
+        # every probe's blocks, count and label against a model rebuilt by
+        # scale_noise; the endpoint spectra against the dense oracle
+        axis_count = spectral_analysis._axis_count
+        seen = []
+
+        def recording(blocks, n, tol_im):
+            result = axis_count(blocks, n, tol_im)
+            seen.append((blocks, result[0]))
+            return result
+
+        monkeypatch.setattr(spectral_analysis, "_axis_count", recording)
+        specs = mixed_corpus(307, 4)
+        scans = [scan_pt_breaking(spec, 0.01, 2.0, resolution=1e-2) for spec in specs]
+        monkeypatch.undo()
+        # one spec per family and size; the bracket ends lie on either side
+        assert sum(scan.bracket is not None for scan in scans) >= 6
+        probes = iter(seen)
+        for spec, scan in zip(specs, scans):
+            base = build_model(spec)
+            sectors = symmetry_sectors(base)
+            assert [p.lam for p in scan.probes[:2]] == [0.01, 2.0]
+            for probe, (blocks, eigs) in zip(scan.probes, probes):
+                scaled = scale_noise(base, probe.lam)
+                want = pauli_generator(scaled)
+                want[np.diag_indices_from(want)] += identity_component_shift(scaled)
+                scale = np.linalg.norm(want)
+                for idx, block in zip(sectors, blocks, strict=True):
+                    assert np.max(np.abs(block - want[np.ix_(idx, idx)])) <= 1e-13 * scale
+                rebuilt = classify_pt_phase(scaled)
+                assert (probe.n_imag_axis, probe.classification) == (
+                    rebuilt.n_imag_axis, rebuilt.classification)
+                if probe.lam in (0.01, 2.0):
+                    oracle = shifted_generator_matrix(
+                        dense_operator(base.hamiltonian),
+                        [probe.lam * dense_operator(lm) for lm in base.lindblads],
+                    )
+                    assert_spectra_match(eigs, np.linalg.eigvals(oracle), 1e-9 * max(1.0, scale))
+        assert next(probes, None) is None
 
 
 class TestUniformRate:
