@@ -4,7 +4,7 @@ Exit codes: 0 success / certified, 1 certified failure, 2 input error
 (including non-finite values computed from finite input).
 All analysis output goes to stdout (or --out); diagnostics go to stderr.
 Floats are serialized with 17 significant digits so identical inputs
-produce byte-identical output at a fixed BLAS thread count.
+produce byte-identical output, with numpy's OpenBLAS at any thread count.
 """
 
 from __future__ import annotations
@@ -208,8 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", required=True, help="path to the JSON model file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default=default_format)
-        p.add_argument("--tol-im", dest="tol_im", type=float, default=TOL_IM,
-                       help="imaginary-axis tolerance for classification")
         p.add_argument("--max-n", dest="max_n", type=int, default=DEFAULT_MAX_N,
                        help="size guard on the qubit count (default 6)")
 
@@ -226,6 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--lambda-min", dest="lambda_min", type=float, default=0.1)
     p_scan.add_argument("--lambda-max", dest="lambda_max", type=float, default=2.0)
     p_scan.add_argument("--resolution", type=float, default=1e-6)
+    p_scan.add_argument("--tol-im", dest="tol_im", type=float, default=TOL_IM,
+                        help="imaginary-axis tolerance for classification")
     p_scan.set_defaults(func=cmd_scan)
 
     p_vm = sub.add_parser("vmatrix", help="channel overlap matrix V and its asymmetry")

@@ -9,13 +9,21 @@ A scan keeps the sector blocks of the Hamiltonian part R_H and the channel
 part R_D, assembled once; at noise scale lambda the generator is
 R_H + lambda^2 R_D, so a probe costs one axpy per block plus its sector
 solves.  Bounds outside 0 < lambda_min < lambda_max < inf and a tol_im
-outside 0 < tol_im < inf raise ModelConfigError (CLI exit 2).  Nothing here
-shares writable state, so scans are safe to parallelize externally.
+outside 0 < tol_im < inf raise ModelConfigError (CLI exit 2).
+
+Thread safety: solves hold a module lock, under which the sector blocks of
+one call are solved concurrently with numpy's bundled OpenBLAS held at one
+thread (a process-wide count, restored afterwards), so spectra do not
+depend on OPENBLAS_NUM_THREADS.  Without OpenBLAS they are solved in turn.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -80,9 +88,51 @@ def _sector_blocks(mat: np.ndarray, sectors, shift: float = 0.0) -> list[np.ndar
     return blocks
 
 
-def _sector_eigvals(mat: np.ndarray, sectors, shift: float = 0.0) -> np.ndarray:
-    """Unsorted eigenvalues of mat + shift * I, one diagonal block per sector."""
-    return np.concatenate([_eigvals(b) for b in _sector_blocks(mat, sectors, shift)], dtype=complex)
+_SOLVE_LOCK = threading.Lock()
+_blas = None  # (get, set) of the OpenBLAS thread count; () without OpenBLAS
+_pool: Optional[ThreadPoolExecutor] = None
+if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's threads
+    os.register_at_fork(after_in_child=lambda: globals().update(
+        _SOLVE_LOCK=threading.Lock(), _pool=None))
+
+
+def _openblas_threads() -> tuple:
+    """(get, set) of the thread count of the OpenBLAS in numpy 2 or 1.x wheels, or ()."""
+    global _blas
+    if _blas is None:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        prefix = next((p for p in ("scipy_openblas", "openblas")
+                       if hasattr(lib, f"{p}_set_num_threads64_")), None)
+        _blas = ()
+        if prefix is not None:
+            get, put = lib[f"{prefix}_get_num_threads64_"], lib[f"{prefix}_set_num_threads64_"]
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            _blas = (get, put)
+    return _blas
+
+
+def _solve_blocks(blocks: list[np.ndarray]) -> np.ndarray:
+    """Unsorted eigenvalues in block order: block 0 here, the rest on the pool (module doc)."""
+    global _pool
+    with _SOLVE_LOCK:
+        if _openblas_threads():
+            get_threads, set_threads = _blas
+            if _pool is None:
+                usable = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))(0)
+                _pool = ThreadPoolExecutor(max(1, len(usable) - 1), "ptliouville-eig")
+            previous = get_threads()
+            set_threads(1)
+            try:
+                futures = [_pool.submit(_eigvals, b) for b in blocks[1:]]
+                try:
+                    first = _eigvals(blocks[0])
+                finally:  # wait even when block 0 raises, then restore the count
+                    wait(futures)
+                return np.concatenate([first, *(f.result() for f in futures)], dtype=complex)
+            finally:
+                set_threads(previous)
+    return np.concatenate([_eigvals(b) for b in blocks], dtype=complex)
 
 
 def eigen_spectrum(superop) -> np.ndarray:
@@ -91,7 +141,7 @@ def eigen_spectrum(superop) -> np.ndarray:
     Accepts a SuperOp or a plain square matrix.
     """
     mat = superop.mat if isinstance(superop, SuperOp) else superop
-    return canonical_sort(_eigvals(mat))
+    return canonical_sort(_solve_blocks([mat]))
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +295,12 @@ def liouvillian_spectra(model: Model) -> SpectrumResult:
     equal to sum(c_m) whenever the constants exist, but defined for
     violating models too.
     """
-    mat = pauli_generator(model)
-    sectors = symmetry_sectors(model)
+    blocks = _sector_blocks(pauli_generator(model), symmetry_sectors(model))
     shift = identity_component_shift(model)
-    eig_l = canonical_sort(_sector_eigvals(mat, sectors))
-    eig_lp = canonical_sort(_sector_eigvals(mat, sectors, shift))
+    eig_l = canonical_sort(_solve_blocks(blocks))
+    for block in blocks:
+        block[np.diag_indices(block.shape[0])] += shift
+    eig_lp = canonical_sort(_solve_blocks(blocks))
     deviation = float(np.max(np.abs(eig_lp - (eig_l + shift)))) if eig_l.size else 0.0
     return SpectrumResult(model.n, eig_l, eig_lp, shift, deviation)
 
@@ -300,7 +351,7 @@ def _axis_count(blocks: list[np.ndarray], n: int, tol_im: float) -> tuple[np.nda
     """
     if not (0 < tol_im < math.inf):
         raise ModelConfigError(f"tol_im must be finite and > 0, got {tol_im!r}")
-    eigs = np.concatenate([_eigvals(b) for b in blocks], dtype=complex)
+    eigs = _solve_blocks(blocks)
     threshold = tol_im * float(np.sqrt(np.sum([np.sum(b * b) for b in blocks])))
     count = int(np.sum(np.abs(eigs.real) < threshold))
     dim = 2 ** n
@@ -447,7 +498,7 @@ def match_bohr_frequencies(
     energies = np.asarray(basis.energies, dtype=float)
     count = energies.size
     level_pairs = [(j, k) for j in range(count) for k in range(count) if j != k]
-    eigs = _sector_eigvals(pauli_generator(model), symmetry_sectors(model))
+    eigs = _solve_blocks(_sector_blocks(pauli_generator(model), symmetry_sectors(model)))
     bohr = np.array([energies[k] - energies[j] for j, k in level_pairs])
     cost = np.abs(eigs.imag[:, None] - bohr[None, :])
     rows, cols = linear_sum_assignment(cost)

@@ -258,5 +258,5 @@ def pt_residual(model: Model) -> float:
             defect += q[perm[rows], None] * shifted[:, perm[rows]].T
         total += float(np.sum(defect.real ** 2 + defect.imag ** 2))
     # numpy sums rather than BLAS dot products, whose rounding depends on the
-    # BLAS thread count
-    return float(np.sqrt(total) / max(1.0, np.sqrt(np.sum(shifted ** 2))))
+    # BLAS thread count; squared in place, as shifted is not used again
+    return float(np.sqrt(total) / max(1.0, np.sqrt(np.sum(np.square(shifted, out=shifted)))))

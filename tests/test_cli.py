@@ -262,6 +262,17 @@ class TestScan:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert where in err
 
+    @pytest.mark.parametrize("command", ["check", "spectrum", "vmatrix"])
+    def test_tol_im_is_scan_only(self, tmp_path, capsys, command):
+        # only scan classifies; elsewhere the flag is unknown, an input error
+        path = write_model(tmp_path, EXAMPLE1_N2)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", path, "--tol-im", "1e-8"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "--tol-im" in captured.err
+
     def test_uncertified_model_exits_one(self, tmp_path, capsys):
         doc = dict(EXAMPLE1_N2)
         doc["custom"] = {"h_extra": [{"word": "ZI", "coeff": 0.5}]}

@@ -1,3 +1,8 @@
+import multiprocessing
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -273,6 +278,131 @@ class TestSpectra:
         spec = random_example2_spec(rng, 2)
         result = liouvillian_spectra(build_model(spec))
         assert result.shift == pytest.approx(sum(analytic_constants(spec)))
+
+
+def _sequential_spectra(model):
+    """Both sorted spectra from plain per-block eigvals calls, one after another."""
+    mat, sectors = pauli_generator(model), symmetry_sectors(model)
+    return [canonical_sort(np.concatenate(
+        [np.linalg.eigvals(b) for b in spectral_analysis._sector_blocks(mat, sectors, shift)]))
+        for shift in (0.0, identity_component_shift(model))]
+
+
+def _same_bits(result, want):
+    return [a.tobytes() for a in (result.eig_liouvillian, result.eig_shifted)] == [
+        a.tobytes() for a in want]
+
+
+class TestBlockSolve:
+    """Sector blocks solved concurrently, each with one BLAS thread.
+
+    Where numpy's BLAS is not OpenBLAS there is no thread count to set or
+    restore, and the same tests check the sequential path.
+    """
+
+    @pytest.fixture
+    def blas(self):
+        found = spectral_analysis._openblas_threads()
+        if not found:
+            yield None
+            return
+        get, put = found
+        before = get()
+        yield get, put
+        put(before)
+
+    def test_spectra_independent_of_thread_count(self, blas, monkeypatch):
+        # n = 5 blocks are 512 wide, where a threaded dgeev rounds differently
+        model = build_model(random_example1_spec(np.random.default_rng(5), 5))
+        counts = []
+        solve = spectral_analysis._eigvals
+
+        def recording(mat):
+            counts.append(None if blas is None else blas[0]())
+            return solve(mat)
+
+        monkeypatch.setattr(spectral_analysis, "_eigvals", recording)
+        results = []
+        for threads in (2, 1):
+            if blas is not None:
+                blas[1](threads)
+            want_count = None if blas is None else blas[0]()
+            results.append(liouvillian_spectra(model))
+            if blas is not None:
+                assert blas[0]() == want_count
+                # the reference below runs with one thread, as every solve did
+                blas[1](1)
+        assert counts == [None if blas is None else 1] * 8
+        want = _sequential_spectra(model)
+        assert all(_same_bits(result, want) for result in results)
+
+    def test_thread_count_restored_after_failed_solve(self, blas):
+        good = np.diag([1.0, 2.0])
+        bad = good.copy()
+        bad[0, 0] = np.nan
+        if blas is not None:
+            blas[1](2)
+            want_count = blas[0]()
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            spectral_analysis._solve_blocks([bad, good, good])
+        if blas is not None:
+            assert blas[0]() == want_count
+        # the lock was released
+        eigs = spectral_analysis._solve_blocks([good, 3 * good])
+        assert eigs.real.tolist() == [1.0, 2.0, 3.0, 6.0]
+
+    def test_concurrent_callers_get_sequential_results(self, blas):
+        # more callers than cores, switching threads as often as possible
+        rng = np.random.default_rng(41)
+        models = [build_model(random_example1_spec(rng, 4)),
+                  build_model(random_example2_spec(rng, 4))] * 2
+        if blas is not None:
+            want_count = blas[0]()
+            blas[1](1)
+        want = [_sequential_spectra(m) for m in models]
+        if blas is not None:
+            blas[1](want_count)
+        start = threading.Barrier(len(models), timeout=60)
+
+        def run(model):
+            start.wait()
+            return [liouvillian_spectra(model) for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(models)) as callers:
+                got = list(callers.map(run, models, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(_same_bits(r, w) for results, w in zip(got, want) for r in results)
+        if blas is not None:
+            assert blas[0]() == want_count
+
+    def test_forked_child_solves(self):
+        # the child has none of the parent's pool threads and gets its own
+        model = build_model(random_example2_spec(np.random.default_rng(47), 2))
+        want = liouvillian_spectra(model).eig_shifted.tobytes()
+        context = multiprocessing.get_context("fork")
+        results = context.Queue()
+        child = context.Process(
+            target=lambda: results.put(liouvillian_spectra(model).eig_shifted.tobytes()))
+        child.start()
+        try:
+            got = results.get(timeout=60)
+        finally:
+            child.join(timeout=60)
+            if child.is_alive():
+                child.kill()
+        assert not child.is_alive() and child.exitcode == 0
+        assert got == want
+
+    def test_sequential_path_without_openblas(self, monkeypatch):
+        monkeypatch.setattr(spectral_analysis, "_blas", ())
+        model = build_model(random_example2_spec(np.random.default_rng(43), 3))
+        assert _same_bits(liouvillian_spectra(model), _sequential_spectra(model))
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            spectral_analysis._solve_blocks([np.array([[np.nan]])])
 
 
 class TestScan:
