@@ -7,6 +7,8 @@ g^2 = h.  Below it the two coherence modes decay at the common rate
 2 g^2 = sum(c_m); above it the rates split.
 """
 
+import math
+
 import numpy as np
 
 from ptliouville import (
@@ -26,7 +28,8 @@ def main():
 
     result = scan_pt_breaking(spec, 0.1, 2.0, resolution=1e-6)
     lo, hi = result.bracket
-    print(f"bisection probes: {len(result.probes)}")
+    bisection = 2 + math.ceil(math.log2((2.0 - 0.1) / 1e-6))
+    print(f"scan probes: {len(result.probes)} (bisection: {bisection})")
     print(f"bracket = [{lo:.8f}, {hi:.8f}]")
     print(f"gamma_pt = {result.gamma_pt:.8f}   (analytic value sqrt(h) = {np.sqrt(h):.8f})")
     print()

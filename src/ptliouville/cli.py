@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_spec, "csv")
     p_spec.set_defaults(func=cmd_spectrum)
 
-    p_scan = sub.add_parser("scan", help="bisect the spontaneous PT-breaking noise scale")
+    p_scan = sub.add_parser("scan", help="locate the first spontaneous PT-breaking noise scale")
     common(p_scan, "csv")
     p_scan.add_argument("--lambda-min", dest="lambda_min", type=float, default=0.1)
     p_scan.add_argument("--lambda-max", dest="lambda_max", type=float, default=2.0)

@@ -8,8 +8,16 @@ symmetry sector (diagonal block) at a time.
 A scan keeps the sector blocks of the Hamiltonian part R_H and the channel
 part R_D, assembled once; at noise scale lambda the generator is
 R_H + lambda^2 R_D, so a probe costs one axpy per block plus its sector
-solves.  Bounds outside 0 < lambda_min < lambda_max < inf and a tol_im
-outside 0 < tol_im < inf raise ModelConfigError (CLI exit 2).
+solves.  It looks for the first transition above lambda_min: it marches
+upward to the predicted collisions of on-axis eigenvalues, then refines the
+bracket by interpolating a squared indicator that is linear across a
+square-root branch point (Heiss, J. Phys. A 45, 444016 (2012)), under an
+ITP safeguard that bounds the probe count by bisection's plus
+SCAN_EXTRA_PROBES.  The prediction uses numpy sorts and elementwise
+arithmetic only, so probes do not depend on the BLAS thread count.  Bounds
+outside 0 < lambda_min < lambda_max < inf, a resolution outside
+0 < resolution < inf and a tol_im outside 0 < tol_im < inf raise
+ModelConfigError (CLI exit 2).
 
 Thread safety: solves hold a module lock, under which the sector blocks of
 one call are solved concurrently with numpy's bundled OpenBLAS held at one
@@ -383,6 +391,154 @@ def classify_pt_phase(model: Model, tol_im: float = TOL_IM) -> PhaseClassificati
     return PhaseClassification(count, label)
 
 
+# A scan makes at most this many probes beyond bisection's
+# 2 + ceil(log2((lambda_max - lambda_min) / resolution)): the slack n0 of the
+# ITP safeguard (Oliveira & Takahashi, ACM TOMS 47(1), 2020).
+SCAN_EXTRA_PROBES = 10
+_OVERSHOOT = 0.25  # a march step aims this fraction past the predicted collision
+_TRUNCATION = 0.01  # ITP kappa_1, relative to the bracket width when refinement starts
+
+
+@dataclass(frozen=True, eq=False)
+class _Probe:
+    """A scan probe: its label and, per sector, its eigenvalues and on-axis mask."""
+
+    lam: float
+    count: int
+    label: str
+    eigs: list[np.ndarray]
+    on_axis: list[np.ndarray]
+
+
+def _predicted_collision(history: list[_Probe]) -> float:
+    """Smallest lambda beyond the last probe at which adjacent on-axis eigenvalues meet.
+
+    Adjacent gaps are matched by rank within each sector, over the last
+    three UNBROKEN probes (two at first); a sector whose on-axis count
+    changed among them is skipped.  Three squared gaps are fitted by a
+    quadratic in mu = lambda^2.  It is exact for the three shapes a gap
+    takes: g0^2 - c mu^2 at small mu (the first-order shifts of on-axis
+    eigenvalues vanish in the UNBROKEN phase), linear in mu at a square-root
+    branch point, and (mu_x - mu)^2 where two eigenvalues cross.  The
+    prediction is the quadratic's first root ahead, else its vertex, the
+    closest approach.  Two squared gaps are extrapolated linearly in
+    lambda^4, which is exact at small mu and early, never late, elsewhere.
+    """
+    mu = np.array([p.lam * p.lam for p in history[-3:]])
+    best = math.inf
+    for sector in range(len(history[-1].eigs)):
+        ims = [np.sort(p.eigs[sector][p.on_axis[sector]].imag) for p in history[-3:]]
+        if len({x.size for x in ims}) != 1 or ims[0].size < 2:
+            continue
+        sq = [np.diff(x) ** 2 for x in ims]
+        if len(sq) == 2:
+            closing = sq[1] < sq[0]
+            ratio = sq[1][closing] / (sq[0][closing] - sq[1][closing])
+            ahead = np.sqrt(mu[1] ** 2 + ratio * (mu[1] ** 2 - mu[0] ** 2)) - mu[1]
+        else:
+            # s(mu[2] + t) = sq[2] + slope t + curve t^2
+            last = (sq[2] - sq[1]) / (mu[2] - mu[1])
+            curve = (last - (sq[1] - sq[0]) / (mu[1] - mu[0])) / (mu[2] - mu[0])
+            slope = last + curve * (mu[2] - mu[1])
+            disc = slope * slope - 4.0 * curve * sq[2]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                root = 2.0 * sq[2] / (np.sqrt(np.maximum(disc, 0.0)) - slope)
+                vertex = -slope / (2.0 * curve)
+            ahead = np.where(disc >= 0.0, root, vertex)
+            ahead = ahead[(slope < 0.0) | (curve < 0.0)]
+        ahead = ahead[ahead >= 0.0]
+        if ahead.size:
+            best = min(best, math.sqrt(mu[-1] + float(np.min(ahead))))
+    return best
+
+
+def _collisions(unbroken: _Probe, broken: _Probe) -> list[tuple[int, complex]]:
+    """(sector, eigenvalue) of each eigenvalue of the BROKEN probe that left the axis.
+
+    These are its off-axis eigenvalues that lie nearer an on-axis eigenvalue
+    of the UNBROKEN probe than any off-axis one, in the same sector.  The
+    population modes stay off the axis and can have a smaller |Re| than a
+    pair that has just left it, so the |Re| order alone does not find it.
+    """
+    found = []
+    for sector, (eigs_u, on_u, eigs_b, on_b) in enumerate(
+            zip(unbroken.eigs, unbroken.on_axis, broken.eigs, broken.on_axis)):
+        off = eigs_b[~on_b]
+        if off.size == 0 or not np.any(on_u):
+            continue
+        near_on = np.min(np.abs(off[:, None] - eigs_u[on_u]), axis=1)
+        near_off = np.min(np.abs(off[:, None] - eigs_u[~on_u]), axis=1, initial=math.inf)
+        found += [(sector, m) for m in off[near_on < near_off]]
+    return found
+
+
+def _indicator(probe: _Probe, sector: int, m: complex) -> Optional[float]:
+    """Signed squared distance from the collision of m, linear in mu across it.
+
+    At a square-root branch point the pair is c +- sqrt(D(mu)) with D
+    analytic, so both sides read D.  BROKEN: +Re^2 of the off-axis eigenvalue
+    nearest m.  UNBROKEN: -(gap / 2)^2 of the adjacent on-axis pair whose
+    midpoint is nearest Im(m).  Both within m's sector; None when there is
+    no such eigenvalue or pair.
+    """
+    eigs, on = probe.eigs[sector], probe.on_axis[sector]
+    if probe.label == BROKEN:
+        off = eigs[~on]
+        return float(off[np.argmin(np.abs(off - m))].real ** 2) if off.size else None
+    ims = np.sort(eigs[on].imag)
+    if ims.size < 2:
+        return None
+    k = int(np.argmin(np.abs(0.5 * (ims[1:] + ims[:-1]) - m.imag)))
+    return -float((0.5 * (ims[k + 1] - ims[k])) ** 2)
+
+
+def _root(points: list[tuple[float, float]]) -> float:
+    """Root between the first two (mu, f) points, whose f differ in sign.
+
+    The quadratic through all three points when a third is given, else the
+    secant of the first two.
+    """
+    (a, fa), (b, fb) = points[:2]
+    slope = (fb - fa) / (b - a)
+    curve = 0.0
+    if len(points) == 3:
+        c, fc = points[2]
+        curve = ((fc - fa) / (c - a) - slope) / (c - b)
+    # fa + slope t + curve t (t - (b - a)) = 0, t = mu - a, has one root in [0, b - a]
+    lin = slope - curve * (b - a)
+    disc = lin * lin - 4.0 * curve * fa
+    if curve != 0.0 and disc >= 0.0:
+        q = -0.5 * (lin + math.copysign(math.sqrt(disc), lin))
+        for t in (q / curve, fa / q if q else math.inf):
+            if 0.0 <= t <= b - a:
+                return a + t
+    return a - fa / slope
+
+
+def _flip_estimate(lo: _Probe, hi: _Probe, replaced: Optional[_Probe],
+                   need: int) -> Optional[float]:
+    """Interpolated lambda at which the label flips between the bracket ends lo and hi.
+
+    Each eigenvalue that crossed the axis between them has a root of its
+    _indicator, interpolated in mu through lo, hi and the bracket end last
+    replaced; the label flips at the root that takes the on-axis count past
+    need.  None when too few roots are found.
+    """
+    unbroken, broken = (lo, hi) if lo.label == UNBROKEN else (hi, lo)
+    roots = []
+    for sector, m in _collisions(unbroken, broken):
+        points = []
+        for p in (lo, hi, replaced):
+            f = None if p is None else _indicator(p, sector, m)
+            if f is None:
+                break
+            points.append((p.lam * p.lam, f))
+        if len(points) >= 2 and points[0][1] != points[1][1]:
+            roots.append(_root(points))
+    crossings = abs(lo.count - need) + (lo is unbroken)
+    return math.sqrt(sorted(roots)[crossings - 1]) if len(roots) >= crossings else None
+
+
 def scan_pt_breaking(
     spec: ModelSpec,
     lambda_min: float,
@@ -390,7 +546,7 @@ def scan_pt_breaking(
     tol_im: float = TOL_IM,
     resolution: float = 1e-6,
 ) -> ScanResult:
-    """Bisect the noise scale for the spontaneous breaking transition.
+    """Locate the first spontaneous breaking transition above lambda_min.
 
     The base model (built from the given parameter record) must certify;
     the probes multiply its channels by lambda.  When both endpoints
@@ -398,14 +554,28 @@ def scan_pt_breaking(
     range").  For lambda > 0, {lambda L, lambda L^dag} = lambda^2 {L, L^dag},
     so the base's channel constants hold at every probe, scaled by lambda^2,
     and each probe's L' is H_blk + lambda^2 (D_blk + shift * I) per sector.
+
+    From an UNBROKEN lambda_min the search marches upward until a probe is
+    BROKEN.  The first step doubles lambda_min; each later one goes to just
+    past the nearest collision of on-axis eigenvalues predicted from the
+    last UNBROKEN probes (_predicted_collision), at least a quarter and at
+    most twice the step before.  It then refines the bracket, probing near the
+    interpolated flip (_flip_estimate), pushed toward the bracket's middle
+    by an ITP truncation; from a BROKEN lambda_min it refines at once.
+    Every probe is projected as in ITP, so a scan makes at most
+    SCAN_EXTRA_PROBES more probes than bisection's
+    2 + ceil(log2((lambda_max - lambda_min) / resolution)).  The bracket
+    ends are probes of different labels, at most `resolution` apart (up to
+    rounding, or adjacent floats), and every probe below it carries
+    lambda_min's label.
     """
     if not (0 < lambda_min < lambda_max < math.inf):
         raise ModelConfigError(
             "scan bounds must satisfy 0 < lambda_min < lambda_max < inf, "
             f"got ({lambda_min}, {lambda_max})"
         )
-    if not (resolution > 0):
-        raise ModelConfigError(f"scan resolution must be positive, got {resolution}")
+    if not (0 < resolution < math.inf):
+        raise ModelConfigError(f"scan resolution must be finite and > 0, got {resolution}")
     base = build_model(spec)
     if not check_lemma(base).overall:
         raise UncertifiedModelError("base model fails symmetry certification; scan is undefined")
@@ -414,27 +584,63 @@ def scan_pt_breaking(
     h_blocks = _sector_blocks(pauli_generator(replace(base, lindblads=())), sectors)
     no_h = replace(base, hamiltonian=PauliOperator.zero(base.n))
     d_blocks = _sector_blocks(pauli_generator(no_h), sectors, identity_component_shift(base))
+    bounds = np.cumsum([idx.size for idx in sectors])[:-1]
+    need = 4 ** base.n - 2 ** base.n
     probes: list[ScanProbe] = []
 
-    def probe(lam: float) -> str:
+    def probe(lam: float) -> _Probe:
         mu = lam * lam
-        _, count, label = _axis_count([h + mu * d for h, d in zip(h_blocks, d_blocks)],
-                                      base.n, tol_im)
+        eigs, count, label = _axis_count([h + mu * d for h, d in zip(h_blocks, d_blocks)],
+                                         base.n, tol_im)
         probes.append(ScanProbe(lam, count, label))
-        return label
+        on_axis = np.zeros(eigs.size, dtype=bool)
+        on_axis[np.argsort(np.abs(eigs.real), kind="stable")[:count]] = True
+        return _Probe(lam, count, label, np.split(eigs, bounds), np.split(on_axis, bounds))
 
-    lo, hi = float(lambda_min), float(lambda_max)
-    lo_cls = probe(lo)
-    hi_cls = probe(hi)
-    if lo_cls == hi_cls:
+    lo = probe(float(lambda_min))
+    hi = probe(float(lambda_max))
+    if lo.label == hi.label:
         return ScanResult(tuple(probes), None, None)
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if probe(mid) == lo_cls:
-            lo = mid
+
+    budget = (math.ceil(math.log2(min((hi.lam - lo.lam) / resolution, 2.0 ** 1000)))
+              + SCAN_EXTRA_PROBES)
+    marching = lo.label == UNBROKEN
+    history, step = [lo], lo.lam  # the march's UNBROKEN probes, its last step
+    replaced = truncation = None  # the bracket end last replaced; ITP kappa_1
+    for j in range(budget):
+        width = hi.lam - lo.lam
+        mid = 0.5 * (lo.lam + hi.lam)
+        if width <= resolution or not lo.lam < mid < hi.lam:
+            break
+        target = mid
+        if marching:
+            ahead = step
+            if len(history) > 1:
+                collision = _predicted_collision(history) - lo.lam
+                ahead = min(2 * step, max(step / 4, (1 + _OVERSHOOT) * collision))
+            marching = lo.lam + ahead < hi.lam
+            if marching:
+                target = lo.lam + ahead
+        estimate = None if marching else _flip_estimate(lo, hi, replaced, need)
+        if estimate is not None:
+            if truncation is None:
+                truncation = _TRUNCATION / width
+            delta = max(truncation * width * width, 0.25 * resolution)
+            if delta <= abs(mid - estimate):
+                target = estimate + math.copysign(delta, mid - estimate)
+        radius = max(0.0, math.ldexp(resolution, budget - j - 1) - 0.5 * width)
+        x = min(max(target, mid - radius), mid + radius)
+        if not lo.lam < x < hi.lam:
+            x = mid
+        new = probe(x)
+        if new.label == lo.label:
+            if marching:
+                history.append(new)
+                step = x - lo.lam
+            lo, replaced = new, lo
         else:
-            hi = mid
-    return ScanResult(tuple(probes), (lo, hi), 0.5 * (lo + hi))
+            marching, hi, replaced = False, new, hi
+    return ScanResult(tuple(probes), (lo.lam, hi.lam), 0.5 * (lo.lam + hi.lam))
 
 
 @dataclass(frozen=True, eq=False)

@@ -249,9 +249,11 @@ class TestScan:
             (("--lambda-max", "nan"), "lambda_max < inf"),
             # finite bound, but lambda^2 overflows: the non-finite generator guard
             (("--lambda-max", "1e200"), "non-finite"),
+            # an infinite resolution would report the whole range as the bracket
+            (("--resolution", "inf"), "resolution"),
         ],
         ids=["tol-im-nan", "tol-im-negative", "tol-im-inf", "lambda-max-inf", "lambda-max-nan",
-             "lambda-max-overflow"],
+             "lambda-max-overflow", "resolution-inf"],
     )
     def test_bad_scan_parameter_is_input_error(self, tmp_path, capsys, argv, where):
         path = write_model(tmp_path, EXAMPLE1_N2)

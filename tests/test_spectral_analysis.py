@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import sys
 import threading
@@ -50,6 +51,43 @@ from _oracles import (
     dense_operator,
     shifted_generator_matrix,
 )
+
+
+# Family-2 n = 4 models whose phase is not monotone in lambda: UNBROKEN, a
+# BROKEN window (about 0.052 to 0.10 in the first, 0.1436 to 0.151 in the
+# second), UNBROKEN again, then BROKEN for good.
+NON_MONOTONE = {
+    "wide-window": ModelSpec(
+        n=4,
+        couplings=(
+            (0, 1, 0.8982686240842663, 0.5425429790951701, 0.49946342085789563),
+            (0, 2, -0.6498893253683569, 0.4031123049200127, -0.26245273437115135),
+            (0, 3, 0.44903680176452876, -0.56142867442036, 0.41397747131039364),
+            (1, 2, -0.7816119720098209, -0.14481755341009683, 0.5263641333225086),
+            (1, 3, -0.8969543603886394, -0.17461582185421842, 0.42686474071807545),
+            (2, 3, 0.25910785042441487, 0.2818733675851708, 0.8799457266714397),
+        ),
+        noise=Injection(
+            (0.6500331781008188, 0.6681995116351306, 0.22791281124948934, 0.2912287100439165),
+            (0.5549138826872514, 0.9993626461081199, 0.9194908540684692, 0.27412618531420513),
+        ),
+    ),
+    "narrow-window": ModelSpec(
+        n=4,
+        couplings=(
+            (0, 1, -0.27774068256101336, 0.30890932625717604, -0.7651288666803822),
+            (0, 2, 0.9921965841843119, 0.13405458571701012, 0.7685369971156988),
+            (0, 3, -0.9846240468967848, 0.7511890122982001, 0.06703784594792173),
+            (1, 2, -0.04059668710205977, -0.27813129908362044, 0.9138295101302953),
+            (1, 3, -0.060387753257951315, 0.9525273691211249, -0.013166455292374923),
+            (2, 3, 0.28664753727941705, 0.5791410197872948, 0.6237431746374305),
+        ),
+        noise=Injection(
+            (0.7139330348037382, 0.38064223520728935, 0.7557371854542785, 0.3253549926822798),
+            (0.4542690383409006, 0.3669979740029169, 0.9075509926008476, 0.8720352871767207),
+        ),
+    ),
+}
 
 
 def single_qubit_spec(h=1.0, g=1.0):
@@ -495,6 +533,67 @@ class TestScan:
         with pytest.raises(ModelConfigError, match="tol_im"):
             scan_pt_breaking(single_qubit_spec(), 0.1, 2.0, tol_im=tol_im)
 
+    @pytest.mark.parametrize("resolution", [np.inf, np.nan, 0.0, -1e-6],
+                             ids=["inf", "nan", "zero", "neg"])
+    def test_resolution_must_be_positive_and_finite(self, resolution):
+        # an infinite resolution would accept the whole range as the bracket
+        with pytest.raises(ModelConfigError, match="resolution"):
+            scan_pt_breaking(single_qubit_spec(1.0, 1.0), 0.1, 2.0, resolution=resolution)
+
+    @pytest.mark.parametrize("spec", list(NON_MONOTONE.values()), ids=list(NON_MONOTONE))
+    def test_first_transition_of_non_monotone_phase(self, spec):
+        # oracle: classify rebuilt models on a geometric grid below 0.3, then
+        # bisect the first cell whose ends classify differently
+        base = build_model(spec)
+
+        def label(lam):
+            return classify_pt_phase(scale_noise(base, lam)).classification
+
+        grid = np.geomspace(0.01, 0.3, 80)
+        labels = [label(lam) for lam in grid]
+        flips = [i for i in range(grid.size - 1) if labels[i] != labels[i + 1]]
+        assert len(flips) >= 2  # the phase breaks and is restored below 0.3
+        lo, hi = grid[flips[0]], grid[flips[0] + 1]
+        resolution = 1e-6
+        while hi - lo > resolution / 4:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if label(mid) == labels[0] else (lo, mid)
+
+        result = scan_pt_breaking(spec, 0.01, 2.0, resolution=resolution)
+        assert abs(result.gamma_pt - 0.5 * (lo + hi)) <= resolution
+        below = [p.classification for p in result.probes if p.lam < result.bracket[0]]
+        assert below and set(below) == {labels[0]}
+
+    def test_broken_lower_bound_finds_the_return_to_the_axis(self):
+        # inside the first model's BROKEN window the scan runs the other way
+        spec = NON_MONOTONE["wide-window"]
+        base = build_model(spec)
+        result = scan_pt_breaking(spec, 0.07, 0.12, resolution=1e-6)
+        lo, hi = result.bracket
+        assert hi - lo <= 1e-6
+        assert [classify_pt_phase(scale_noise(base, lam)).classification
+                for lam in (lo, hi)] == [BROKEN, UNBROKEN]
+        assert all(p.classification == BROKEN for p in result.probes if p.lam < lo)
+
+    def test_probe_budget(self):
+        # bisection makes 2 + ceil(log2(range / resolution)) = 23 probes here;
+        # the search is deterministic, so its counts are asserted exactly
+        scans = [scan_pt_breaking(spec, 0.01, 2.0, resolution=1e-6)
+                 for spec in mixed_corpus(401, 8)]
+        counts = [len(scan.probes) for scan in scans if scan.bracket is not None]
+        bisection = 2 + math.ceil(math.log2((2.0 - 0.01) / 1e-6))
+        assert bisection == 23
+        assert max(counts) <= bisection + spectral_analysis.SCAN_EXTRA_PROBES
+        assert (len(counts), np.median(counts), max(counts)) == (11, 13, 15)
+
+    def test_resolution_below_float_spacing_ends_at_adjacent_floats(self):
+        # no float lies strictly between the bracket ends, so the search stops
+        result = scan_pt_breaking(single_qubit_spec(1.0, 1.0), 0.1, 2.0, resolution=1e-20)
+        lo, hi = result.bracket
+        assert hi == np.nextafter(lo, np.inf)
+        labels = {p.lam: p.classification for p in result.probes}
+        assert (labels[lo], labels[hi]) == (UNBROKEN, BROKEN)
+
     def test_two_assemblies_per_scan(self, monkeypatch):
         # R_H and R_D are assembled once; no probe assembles a generator
         calls = []
@@ -508,8 +607,10 @@ class TestScan:
         for lo, hi in ((0.1, 2.0), (0.01, 0.05)):
             calls.clear()
             result = scan_pt_breaking(single_qubit_spec(1.0, 1.0), lo, hi, resolution=1e-4)
-            seen.append((len(result.probes), len(calls)))
-        assert seen[0][0] > 10 and seen[1][0] == 2
+            seen.append((result, len(calls)))
+        (found, _), (none, _) = seen
+        assert found.bracket[1] - found.bracket[0] <= 1e-4 and len(found.probes) > 2
+        assert len(none.probes) == 2
         assert [assemblies for _, assemblies in seen] == [2, 2]
 
     def test_probes_match_rebuilt_models(self, monkeypatch):
