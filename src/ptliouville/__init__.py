@@ -46,15 +46,10 @@ from .lemma_checker import (
 from .superoperator import (
     SuperOp,
     build_liouvillian,
-    build_parity_superop,
-    build_shifted_liouvillian,
     identity_component_shift,
-    pauli_generator,
     pauli_to_dense,
     pt_residual,
     symmetry_sectors,
-    unvec,
-    vec,
     z2_symmetry_strings,
 )
 from .spectral_analysis import (
@@ -77,7 +72,6 @@ from .spectral_analysis import (
     check_pt_pairing,
     check_uniform_rate,
     classify_pt_phase,
-    eigen_spectrum,
     hamiltonian_eigenbasis,
     liouvillian_spectra,
     match_bohr_frequencies,

@@ -79,8 +79,11 @@ def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ModelConfigError(f"cannot write output file {out_path!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

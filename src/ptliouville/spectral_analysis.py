@@ -2,7 +2,7 @@
 
 All spectra are dense (complete eigenvalue sets are required), so the
 practical size limit is n <= 6.  Every generator spectrum is solved from
-the real Pauli-basis matrix of superoperator.pauli_generator, one Z2
+the real Pauli-basis matrix of superoperator.build_liouvillian, one Z2
 symmetry sector (diagonal block) at a time.
 
 A scan keeps the sector blocks of the Hamiltonian part R_H and the channel
@@ -43,9 +43,8 @@ from .lemma_checker import check_condition_iii, check_lemma
 from .model_builder import Model, ModelSpec, build_model, require_hermitian
 from .pauli_algebra import PauliOperator, commutator
 from .superoperator import (
-    SuperOp,
+    build_liouvillian,
     identity_component_shift,
-    pauli_generator,
     pauli_to_dense,
     symmetry_sectors,
 )
@@ -141,15 +140,6 @@ def _solve_blocks(blocks: list[np.ndarray]) -> np.ndarray:
             finally:
                 set_threads(previous)
     return np.concatenate([_eigvals(b) for b in blocks], dtype=complex)
-
-
-def eigen_spectrum(superop) -> np.ndarray:
-    """Complete eigenvalue set of a dense superoperator, canonically sorted.
-
-    Accepts a SuperOp or a plain square matrix.
-    """
-    mat = superop.mat if isinstance(superop, SuperOp) else superop
-    return canonical_sort(_solve_blocks([mat]))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +293,7 @@ def liouvillian_spectra(model: Model) -> SpectrumResult:
     equal to sum(c_m) whenever the constants exist, but defined for
     violating models too.
     """
-    blocks = _sector_blocks(pauli_generator(model), symmetry_sectors(model))
+    blocks = _sector_blocks(build_liouvillian(model).mat, symmetry_sectors(model))
     shift = identity_component_shift(model)
     eig_l = canonical_sort(_solve_blocks(blocks))
     for block in blocks:
@@ -377,7 +367,7 @@ def _imaginary_axis_count(model: Model, tol_im: float) -> tuple[np.ndarray, int,
             "channel constants are unavailable: some {L_m, L_m^dag} is not an identity multiple"
         )
     shift = identity_component_shift(model)
-    blocks = _sector_blocks(pauli_generator(model), symmetry_sectors(model), shift)
+    blocks = _sector_blocks(build_liouvillian(model).mat, symmetry_sectors(model), shift)
     return (*_axis_count(blocks, model.n, tol_im), shift)
 
 
@@ -581,9 +571,9 @@ def scan_pt_breaking(
         raise UncertifiedModelError("base model fails symmetry certification; scan is undefined")
 
     sectors = symmetry_sectors(base)
-    h_blocks = _sector_blocks(pauli_generator(replace(base, lindblads=())), sectors)
+    h_blocks = _sector_blocks(build_liouvillian(replace(base, lindblads=())).mat, sectors)
     no_h = replace(base, hamiltonian=PauliOperator.zero(base.n))
-    d_blocks = _sector_blocks(pauli_generator(no_h), sectors, identity_component_shift(base))
+    d_blocks = _sector_blocks(build_liouvillian(no_h).mat, sectors, identity_component_shift(base))
     bounds = np.cumsum([idx.size for idx in sectors])[:-1]
     need = 4 ** base.n - 2 ** base.n
     probes: list[ScanProbe] = []
@@ -704,7 +694,7 @@ def match_bohr_frequencies(
     energies = np.asarray(basis.energies, dtype=float)
     count = energies.size
     level_pairs = [(j, k) for j in range(count) for k in range(count) if j != k]
-    eigs = _solve_blocks(_sector_blocks(pauli_generator(model), symmetry_sectors(model)))
+    eigs = _solve_blocks(_sector_blocks(build_liouvillian(model).mat, symmetry_sectors(model)))
     bohr = np.array([energies[k] - energies[j] for j, k in level_pairs])
     cost = np.abs(eigs.imag[:, None] - bohr[None, :])
     rows, cols = linear_sum_assignment(cost)

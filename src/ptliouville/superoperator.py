@@ -1,4 +1,4 @@
-"""Generator in the Pauli-string basis, its Z2 symmetry sectors, parity superoperator, PT residual.
+"""Generator in the Pauli-string basis, its Z2 symmetry sectors and shift, PT residual.
 
 The generator uses the doubled dissipator
 
@@ -13,10 +13,7 @@ Every spectrum is solved in the normalised Pauli-string basis, where
 
 is real for a Hermitian H.  Basis words are indexed in base 4 with the
 letter codes I, X, Y, Z = 0..3 (the ``sorted_terms`` order), first site
-most significant.  The column-stacking view (vec stacks columns, so
-vec(A rho B) = (B^T kron A) vec(rho)) is the change of basis T R T^dag,
-where column a of T is vec(P_a) / sqrt(2^n); it is unitary, so Frobenius
-norms and spectra agree in both views.
+most significant.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionError
 from .model_builder import Model, require_hermitian
 from .pauli_algebra import _MUL1, PAULI_LETTERS, PauliOperator, anticommutator, string_mul
 
@@ -54,7 +50,7 @@ _RESIDUAL_CHUNK = 2 ** 17
 
 @dataclass(frozen=True, eq=False)
 class SuperOp:
-    """Dense 4^n x 4^n superoperator matrix in the column-stacking convention."""
+    """Dense 4^n x 4^n generator matrix in the normalised Pauli-string basis."""
 
     n: int
     mat: np.ndarray
@@ -67,20 +63,6 @@ def pauli_to_dense(op: PauliOperator) -> np.ndarray:
     for word, coeff in op.terms.items():
         out += coeff * reduce(np.kron, (_SITE[ch] for ch in word))
     return out
-
-
-def vec(rho: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(rho).ravel(order="F")
-
-
-def unvec(v: np.ndarray) -> np.ndarray:
-    """Inverse of vec for square matrices."""
-    v = np.asarray(v)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise DimensionError(f"vector of length {v.size} is not a vectorized square matrix")
-    return v.reshape((d, d), order="F")
 
 
 # ---------------------------------------------------------------------------
@@ -106,11 +88,12 @@ def _word_products(codes: np.ndarray, left: str, right: str) -> tuple[np.ndarray
     return np.arange(len(codes)) ^ mask, k % 4
 
 
-def pauli_generator(model: Model) -> np.ndarray:
-    """Real 4^n x 4^n matrix R[c, a] = 2^-n Tr(P_c L(P_a)) of the generator.
+def build_liouvillian(model: Model) -> SuperOp:
+    """Generator of d rho/dt = -i[H, rho] + sum_m (2 L rho L^dag - {L^dag L, rho}).
 
-    Each term of H, each term pair of L_m (in 2 L_m rho L_m^dag) and each
-    term of L_m^dag L_m acts on all basis words at once.  The map preserves
+    Its matrix is the real 4^n x 4^n R[c, a] = 2^-n Tr(P_c L(P_a)).  Each
+    term of H, each term pair of L_m (in 2 L_m rho L_m^dag) and each term
+    of L_m^dag L_m acts on all basis words at once.  The map preserves
     Hermiticity, so only the real part of every contribution is kept.
     Raises ModelConfigError when H is not Hermitian, since R would then be
     complex.
@@ -140,7 +123,7 @@ def pauli_generator(model: Model) -> np.ndarray:
         for word, coeff in ldl.items():
             add(word, ident, -coeff)
             add(ident, word, -coeff)
-    return out
+    return SuperOp(n, out)
 
 
 def _anticommutes(a: str, b: str) -> bool:
@@ -165,7 +148,7 @@ def z2_symmetry_strings(model: Model) -> tuple[str, ...]:
 
 
 def symmetry_sectors(model: Model) -> list[np.ndarray]:
-    """Basis-word indices of each diagonal block of pauli_generator.
+    """Basis-word indices of each diagonal block of build_liouvillian's matrix.
 
     A word's sector label is its commutation bits with the strings of
     z2_symmetry_strings; with no such string there is one block.
@@ -176,30 +159,6 @@ def symmetry_sectors(model: Model) -> list[np.ndarray]:
         _, k = _word_products(codes, s, "I" * model.n)
         label |= (k & 1) << bit  # odd k: the word anticommutes with s
     return [np.flatnonzero(label == value) for value in np.unique(label)]
-
-
-def _pauli_basis(n: int) -> np.ndarray:
-    """Unitary T whose column a is vec(P_a) / sqrt(2^n)."""
-    site = np.stack([_SITE[ch] for ch in PAULI_LETTERS])
-    words = site
-    for _ in range(n - 1):
-        dim = 2 * words.shape[1]
-        words = np.einsum("aij,bkl->abikjl", words, site).reshape(-1, dim, dim)
-    return words.transpose(0, 2, 1).reshape(4 ** n, -1).T / np.sqrt(2 ** n)
-
-
-# ---------------------------------------------------------------------------
-# Column-stacking views
-# ---------------------------------------------------------------------------
-
-
-def build_liouvillian(model: Model) -> SuperOp:
-    """Generator of d rho/dt = -i[H, rho] + sum_m (2 L rho L^dag - {L^dag L, rho}).
-
-    The column-stacking view T R T^dag of pauli_generator's R.
-    """
-    basis = _pauli_basis(model.n)
-    return SuperOp(model.n, basis @ pauli_generator(model) @ basis.conj().T)
 
 
 def identity_component_shift(model: Model) -> float:
@@ -217,17 +176,6 @@ def identity_component_shift(model: Model) -> float:
     return total
 
 
-def build_shifted_liouvillian(model: Model) -> SuperOp:
-    """Liouvillian plus identity_component_shift times the identity."""
-    base = build_liouvillian(model).mat
-    return SuperOp(model.n, base + identity_component_shift(model) * np.eye(base.shape[0]))
-
-
-def build_parity_superop(model: Model) -> SuperOp:
-    """Matrix of rho -> U rho W; an involution when U^2 = W^2 = identity."""
-    return SuperOp(model.n, np.kron(pauli_to_dense(model.w).T, pauli_to_dense(model.u)))
-
-
 def pt_residual(model: Model) -> float:
     """Frobenius defect of the anti-symmetry relation L' P = -P L'^dag, normalized.
 
@@ -239,7 +187,7 @@ def pt_residual(model: Model) -> float:
     block, with (R'Q)[r, a] = R'[r, perm(a)] q(a) and
     (QR'^T)[r, a] = q(perm(r)) R'[a, perm(r)].
     """
-    shifted = pauli_generator(model)
+    shifted = build_liouvillian(model).mat
     shifted[np.diag_indices_from(shifted)] += identity_component_shift(model)
     codes = _basis_codes(model.n)
     parts = []

@@ -5,6 +5,8 @@ numpy matrix arithmetic, single-qubit Bloch equations) so the tests never
 assert an implementation against itself.
 """
 
+import itertools
+
 import numpy as np
 
 I2 = np.eye(2, dtype=complex)
@@ -87,6 +89,36 @@ def pt_residual(model) -> float:
     parity = _matrix_of(lambda rho: u @ rho @ w, u.shape[0])
     defect = shifted @ parity + parity @ shifted.conj().T
     return float(np.linalg.norm(defect) / max(1.0, np.linalg.norm(shifted)))
+
+
+def pauli_words(n) -> np.ndarray:
+    """Dense images of all 4^n Pauli words, in base-4 order of I, X, Y, Z = 0..3.
+
+    The first site is the most significant digit.
+    """
+    return np.array([dense_word("".join(w)) for w in itertools.product("IXYZ", repeat=n)])
+
+
+def pauli_coordinates(rho) -> np.ndarray:
+    """x with rho = sum_a x_a P_a, that is x_a = 2^-n Tr(P_a rho)."""
+    rho = np.asarray(rho, dtype=complex)
+    dim = rho.shape[0]
+    return np.einsum("aij,ji->a", pauli_words(dim.bit_length() - 1), rho) / dim
+
+
+def pauli_sum(x) -> np.ndarray:
+    """sum_a x_a P_a, the inverse of pauli_coordinates."""
+    x = np.asarray(x)
+    return np.einsum("a,aij->ij", x, pauli_words((x.size.bit_length() - 1) // 2))
+
+
+def pauli_generator_matrix(model) -> np.ndarray:
+    """R[c, a] = 2^-n Tr(P_c G(P_a)), the generator in Pauli-word coordinates.
+
+    Column a holds the coordinates of apply_generator on the word P_a.
+    """
+    return np.stack([pauli_coordinates(apply_generator(model, word))
+                     for word in pauli_words(model.n)], axis=1)
 
 
 def analytic_constants(spec) -> tuple:

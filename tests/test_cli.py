@@ -359,6 +359,15 @@ class TestDeterminism:
         assert stdout == ""
         assert target.read_text() == out
 
+    @pytest.mark.parametrize("command", ["check", "spectrum", "scan", "vmatrix"])
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys, command):
+        path = write_model(tmp_path, SINGLE_QUBIT)
+        for target in (tmp_path / "missing" / "out.txt", tmp_path):
+            code, out, err = run_cli(capsys, command, "--model", path, "--out", str(target))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: cannot write output file") and str(target) in err
+
     def test_float_serialization_roundtrips(self):
         values = [0.1, 1 / 3, 2e-17, 123456.789, -0.25]
         text = dumps_canonical(values)

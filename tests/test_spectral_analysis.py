@@ -22,18 +22,15 @@ from ptliouville import (
     UncertifiedModelError,
     build_liouvillian,
     build_model,
-    build_shifted_liouvillian,
     canonical_sort,
     check_nondegeneracy,
     check_pt_pairing,
     check_uniform_rate,
     classify_pt_phase,
-    eigen_spectrum,
     hamiltonian_eigenbasis,
     identity_component_shift,
     liouvillian_spectra,
     match_bohr_frequencies,
-    pauli_generator,
     scale_noise,
     scan_pt_breaking,
     sigma_plus,
@@ -96,18 +93,18 @@ def single_qubit_spec(h=1.0, g=1.0):
 
 class TestEigenSpectrum:
     def test_identity_matrix(self):
-        eigs = eigen_spectrum(np.eye(5))
+        eigs = canonical_sort(spectral_analysis._solve_blocks([np.eye(5)]))
         assert np.allclose(eigs, np.ones(5))
 
     def test_commutator_spectrum(self):
         model = build_model(ModelSpec(n=1, fields=(0.5,), noise=Dephasing((0.0,))))
-        eigs = eigen_spectrum(build_liouvillian(model))
+        eigs = liouvillian_spectra(model).eig_liouvillian
         assert_spectra_match(eigs, [0, 0, 1j, -1j], 1e-12)
 
     def test_bloch_case(self):
         h, g = 1.0, 0.5
         model = build_model(single_qubit_spec(h, g))
-        eigs = eigen_spectrum(build_liouvillian(model))
+        eigs = liouvillian_spectra(model).eig_liouvillian
         assert_spectra_match(eigs, bloch_liouvillian_eigs(h, g), 1e-10)
         omega = 2 * np.sqrt(1 - g**4)
         assert_spectra_match(eigs, [0, -1, -0.5 + 1j * omega, -0.5 - 1j * omega], 1e-10)
@@ -139,10 +136,6 @@ class TestEigenSpectrum:
             eigs = coarse + chained + 1j * np.round(rng.normal(size=size), 1)
             assert np.array_equal(canonical_sort(eigs), loop_sort(eigs))
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            eigen_spectrum(np.array([[np.nan, 0], [0, 1]]))
-
     def test_every_generator_solve_rejects_non_finite(self):
         # an inf channel coefficient reaches the dense generator as inf/nan;
         # the guard raises numpy's LinAlgError (a ValueError) with its own
@@ -168,7 +161,7 @@ class TestPairing:
     def test_certified_family2_model(self):
         rng = np.random.default_rng(157)
         model = build_model(random_example2_spec(rng, 2))
-        eigs = eigen_spectrum(build_shifted_liouvillian(model))
+        eigs = liouvillian_spectra(model).eig_shifted
         report = check_pt_pairing(eigs, tol=1e-8)
         assert report.passed
 
@@ -206,7 +199,7 @@ class TestPairing:
     def test_unshifted_spectrum_fails(self):
         rng = np.random.default_rng(163)
         model = build_model(random_example1_spec(rng, 2))
-        eigs = eigen_spectrum(build_liouvillian(model))
+        eigs = liouvillian_spectra(model).eig_liouvillian
         assert not check_pt_pairing(eigs, tol=1e-8).passed
 
     def test_symmetry_violation_breaks_pairing(self):
@@ -217,7 +210,7 @@ class TestPairing:
             custom=CustomParts(h_extra=PauliOperator.single("Z", 0, 2, 0.5)),
         )
         model = build_model(spec)  # condition (i) broken, constants still exist
-        eigs = eigen_spectrum(build_shifted_liouvillian(model))
+        eigs = liouvillian_spectra(model).eig_shifted
         assert not check_pt_pairing(eigs, tol=1e-8).passed
 
 
@@ -320,7 +313,7 @@ class TestSpectra:
 
 def _sequential_spectra(model):
     """Both sorted spectra from plain per-block eigvals calls, one after another."""
-    mat, sectors = pauli_generator(model), symmetry_sectors(model)
+    mat, sectors = build_liouvillian(model).mat, symmetry_sectors(model)
     return [canonical_sort(np.concatenate(
         [np.linalg.eigvals(b) for b in spectral_analysis._sector_blocks(mat, sectors, shift)]))
         for shift in (0.0, identity_component_shift(model))]
@@ -600,9 +593,9 @@ class TestScan:
 
         def counting(model):
             calls.append(model)
-            return pauli_generator(model)
+            return build_liouvillian(model)
 
-        monkeypatch.setattr(spectral_analysis, "pauli_generator", counting)
+        monkeypatch.setattr(spectral_analysis, "build_liouvillian", counting)
         seen = []
         for lo, hi in ((0.1, 2.0), (0.01, 0.05)):
             calls.clear()
@@ -637,7 +630,7 @@ class TestScan:
             assert [p.lam for p in scan.probes[:2]] == [0.01, 2.0]
             for probe, (blocks, eigs) in zip(scan.probes, probes):
                 scaled = scale_noise(base, probe.lam)
-                want = pauli_generator(scaled)
+                want = build_liouvillian(scaled).mat
                 want[np.diag_indices_from(want)] += identity_component_shift(scaled)
                 scale = np.linalg.norm(want)
                 for idx, block in zip(sectors, blocks, strict=True):

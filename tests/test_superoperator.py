@@ -1,10 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ptliouville import (
     CustomParts,
     Dephasing,
-    DimensionError,
     Injection,
     Model,
     ModelConfigError,
@@ -13,19 +14,14 @@ from ptliouville import (
     UncertifiedModelError,
     build_liouvillian,
     build_model,
-    build_parity_superop,
-    build_shifted_liouvillian,
     check_condition_iii,
     check_lemma,
     classify_pt_phase,
     identity_component_shift,
     liouvillian_spectra,
-    pauli_generator,
     pauli_to_dense,
     pt_residual,
     symmetry_sectors,
-    unvec,
-    vec,
     z2_symmetry_strings,
 )
 
@@ -40,6 +36,11 @@ from _oracles import (
     bloch_liouvillian_eigs,
     dense_operator,
     generator_matrix,
+    pauli_coordinates,
+    pauli_generator_matrix,
+    pauli_sum,
+    pauli_words,
+    shifted_generator_matrix,
 )
 from _oracles import pt_residual as oracle_pt_residual
 
@@ -74,31 +75,6 @@ class TestPauliToDense:
             assert np.max(np.abs(pauli_to_dense(op) - dense_operator(op))) < 1e-14
 
 
-class TestVectorization:
-    def test_sandwich_identity(self):
-        # vec(U rho W) = (W^T kron U) vec(rho), through build_parity_superop
-        # with random operators U, W (sums of strings), 100 random triples
-        rng = np.random.default_rng(83)
-
-        def random_operator(n):
-            words = ("".join(rng.choice(list("IXYZ"), size=n)) for _ in range(3))
-            return PauliOperator(n, {w: complex(rng.normal(), rng.normal()) for w in words})
-
-        for _ in range(100):
-            n = int(rng.choice([1, 2, 3]))
-            u, w = random_operator(n), random_operator(n)
-            model = build_model(ModelSpec(n=n, custom=CustomParts(u=u, w=w)))
-            dim = 2 ** n
-            rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            want = dense_operator(u) @ rho @ dense_operator(w)
-            got = unvec(build_parity_superop(model).mat @ vec(rho))
-            assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
-
-    def test_unvec_rejects_non_square(self):
-        with pytest.raises(DimensionError):
-            unvec(np.zeros(3))
-
-
 class TestBuildLiouvillian:
     def test_pure_commutator_spectrum(self):
         model = build_model(ModelSpec(n=1, fields=(0.5,), noise=Dephasing((0.0,))))
@@ -110,29 +86,27 @@ class TestBuildLiouvillian:
         model = build_model(ModelSpec(n=1, noise=Dephasing((g,))))
         mat = build_liouvillian(model).mat
         assert np.max(np.abs(mat - np.diag(np.diag(mat)))) < 1e-14
-        # coherence entries |0><1|, |1><0| decay at 4 g^2
+        # the coherences X and Y decay at 4 g^2
         assert np.allclose(np.diag(mat), [0, -4 * g * g, -4 * g * g, 0])
 
     def test_columns_match_direct_oracle(self):
+        # column a holds the Pauli coordinates of the generator applied to P_a
         rng = np.random.default_rng(89)
         for spec in (random_example1_spec(rng, 2), random_example2_spec(rng, 2)):
             model = build_model(spec)
             mat = build_liouvillian(model).mat
-            dim = 2 ** model.n
-            for col in range(dim * dim):
-                unit = np.zeros((dim, dim), dtype=complex)
-                unit[col % dim, col // dim] = 1.0
-                direct = apply_generator(model, unit)
-                assert np.max(np.abs(unvec(mat @ vec(unit)) - direct)) < 1e-12
+            for col, word in enumerate(pauli_words(model.n)):
+                direct = apply_generator(model, word)
+                assert np.max(np.abs(pauli_sum(mat[:, col]) - direct)) < 1e-12
 
     def test_matches_independent_generator_matrix(self):
         rng = np.random.default_rng(97)
-        model = build_model(random_example2_spec(rng, 2))
-        oracle = generator_matrix(
-            dense_operator(model.hamiltonian),
-            [dense_operator(lm) for lm in model.lindblads],
-        )
-        assert np.max(np.abs(build_liouvillian(model).mat - oracle)) < 1e-12
+        specs = [random_example1_spec(rng, n) for n in (1, 2, 3)]
+        specs += [random_example2_spec(rng, n) for n in (1, 2, 3)]
+        for spec in specs + [*_complex_rate_specs(), *_condition_controls()]:
+            model = build_model(spec)
+            oracle = pauli_generator_matrix(model)
+            assert np.max(np.abs(build_liouvillian(model).mat - oracle)) < 1e-12
 
 
 class TestApplyDirect:
@@ -161,7 +135,7 @@ class TestShiftedLiouvillian:
     def test_single_qubit_bloch_spectrum(self):
         h, g = 1.0, 0.5
         model = build_model(ModelSpec(n=1, fields=(h,), noise=Dephasing((g,))))
-        got = np.linalg.eigvals(build_shifted_liouvillian(model).mat)
+        got = liouvillian_spectra(model).eig_shifted
         assert_spectra_match(got, bloch_liouvillian_eigs(h, g) + 2 * g * g, 1e-10)
         # closed form: {+2g^2, -2g^2, +-2i sqrt(1 - g^4)}
         omega = 2 * np.sqrt(1 - g**4)
@@ -169,23 +143,25 @@ class TestShiftedLiouvillian:
 
     def test_no_noise_means_no_shift(self):
         model = build_model(ModelSpec(n=1, fields=(0.4,), noise=Dephasing((0.0,))))
-        assert np.array_equal(
-            build_shifted_liouvillian(model).mat, build_liouvillian(model).mat
-        )
+        result = liouvillian_spectra(model)
+        assert result.shift == 0
+        assert np.array_equal(result.eig_shifted, result.eig_liouvillian)
 
     def test_spectral_shift_identity(self):
         rng = np.random.default_rng(107)
         spec = random_example2_spec(rng, 2)
         model = build_model(spec)
         shift = sum(analytic_constants(spec))
-        eig_l = np.sort_complex(np.linalg.eigvals(build_liouvillian(model).mat))
-        eig_lp = np.sort_complex(np.linalg.eigvals(build_shifted_liouvillian(model).mat))
+        mat = build_liouvillian(model).mat
+        eig_l = np.sort_complex(np.linalg.eigvals(mat))
+        eig_lp = np.sort_complex(np.linalg.eigvals(
+            mat + identity_component_shift(model) * np.eye(mat.shape[0])))
         assert np.max(np.abs(np.sort(eig_lp.real) - np.sort(eig_l.real + shift))) < 1e-9
 
     def test_requires_channel_constants(self):
         # {P, P^dag} = 2P = I + Z has no constant, but its identity component
         # is 1; with 2 (0.2)^2 from the Z channel the shift is 1.08. The
-        # shifted generator stays defined; its spectral consumers refuse it.
+        # shifted spectrum stays defined; the phase classifier refuses it.
         projector = PauliOperator(1, {"I": 0.5, "Z": 0.5})
         spec = ModelSpec(n=1, fields=(1.0,), noise=Dephasing((0.2,)),
                          custom=CustomParts(lindblads_extra=(projector,)))
@@ -194,26 +170,31 @@ class TestShiftedLiouvillian:
         with pytest.raises(UncertifiedModelError):
             classify_pt_phase(model)
         assert identity_component_shift(model) == pytest.approx(1.08, abs=1e-15)
-        assert np.array_equal(
-            build_shifted_liouvillian(model).mat,
-            build_liouvillian(model).mat + identity_component_shift(model) * np.eye(4),
-        )
+        oracle = shifted_generator_matrix(
+            dense_operator(model.hamiltonian), [dense_operator(lm) for lm in model.lindblads])
+        assert_spectra_match(liouvillian_spectra(model).eig_shifted,
+                             np.linalg.eigvals(oracle), 1e-10)
 
 
 class TestParitySuperop:
+    """The parity P: rho -> U rho W of the built models."""
+
     def test_family1_single_qubit(self):
         model = build_model(ModelSpec(n=1, fields=(0.5,), noise=Dephasing((0.2,))))
-        assert np.allclose(build_parity_superop(model).mat, np.kron(I2, X))
+        assert np.allclose(pauli_to_dense(model.u), X)
+        assert np.allclose(pauli_to_dense(model.w), I2)
 
     def test_family2_single_qubit(self):
         model = build_model(ModelSpec(n=1, noise=Injection((1.0,), (0.5,))))
-        assert np.allclose(build_parity_superop(model).mat, np.kron(X, Y))
+        assert np.allclose(pauli_to_dense(model.u), Y)
+        assert np.allclose(pauli_to_dense(model.w), X)
 
     def test_involution(self):
+        # P(P(rho)) = U^2 rho W^2
         rng = np.random.default_rng(109)
         model = build_model(random_example2_spec(rng, 2))
-        parity = build_parity_superop(model).mat
-        assert np.max(np.abs(parity @ parity - np.eye(16))) < 1e-14
+        for op in (model.u, model.w):
+            assert np.max(np.abs(pauli_to_dense(op) @ pauli_to_dense(op) - np.eye(4))) < 1e-14
 
 
 class TestPTResidual:
@@ -238,22 +219,7 @@ class TestPTResidual:
 
     def test_each_single_condition_violation_breaks_pt(self):
         """One engineered violation per certification condition, all with residual > 1e-3."""
-        base = dict(fields=(0.3, -0.7), noise=Dephasing((0.2, 0.5)),
-                    couplings=((0, 1, 0.4, -0.3, 0.8),))
-        # (i): longitudinal field anticommutes with the X-string parity
-        slot_i = ModelSpec(n=2, **base,
-                           custom=CustomParts(h_extra=PauliOperator.single("Z", 0, 2, 0.5)))
-        # (ii): an X-dephasing channel keeps (i) and (iii) but makes the joint
-        # U/W intertwining system inconsistent
-        slot_ii = ModelSpec(n=2, **base,
-                            custom=CustomParts(
-                                lindblads_extra=(PauliOperator.single("X", 0, 2, 0.5),)))
-        # (iii): Z0 (I + X1) is odd under U and consistent under W, but its
-        # anticommutator with itself is no identity multiple
-        slot_iii = ModelSpec(n=2, **base,
-                             custom=CustomParts(
-                                 lindblads_extra=(PauliOperator(2, {"ZI": 0.5, "ZX": 0.5}),)))
-        for spec, broken in ((slot_i, "cond_i"), (slot_ii, "cond_ii"), (slot_iii, "cond_iii")):
+        for spec, broken in zip(_condition_controls(), ("cond_i", "cond_ii", "cond_iii")):
             model = build_model(spec)
             report = check_lemma(model)
             assert not getattr(report, broken).passed
@@ -273,9 +239,9 @@ class TestGeneratorInvariants:
         rng = np.random.default_rng(131)
         for spec in (random_example1_spec(rng, 2), random_example2_spec(rng, 3)):
             model = build_model(spec)
+            # Tr L(rho) is 2^n times the identity coordinate: row 0 of R
             mat = build_liouvillian(model).mat
-            trace_row = vec(np.eye(2 ** model.n, dtype=complex)).conj()
-            assert np.max(np.abs(trace_row @ mat)) < 1e-12
+            assert np.max(np.abs(mat[0])) < 1e-12
 
     def test_stationary_state_exists(self):
         rng = np.random.default_rng(137)
@@ -299,7 +265,8 @@ class TestGeneratorInvariants:
                 rho = random_density(rng, 2 ** n)
                 direct = apply_generator(model, rho)
                 scale = max(1.0, float(np.max(np.abs(direct))))
-                assert np.max(np.abs(unvec(mat @ vec(rho)) - direct)) < 1e-12 * scale
+                got = pauli_sum(mat @ pauli_coordinates(rho))
+                assert np.max(np.abs(got - direct)) < 1e-12 * scale
 
 
 def _z0_field_control(n):
@@ -317,6 +284,22 @@ def _complex_rate_specs():
         ModelSpec(n=3, couplings=((0, 1, 0.6, 0.4, -0.2), (1, 2, -0.3, 0.9, 0.5)),
                   noise=Injection((0.8j, 0.6, 0.1 - 0.2j), (0.5, 0.3 + 0.4j, 0.7))),
     )
+
+
+def _condition_controls():
+    """One n = 2 spec per violated certification condition: (i), (ii), (iii)."""
+    base = dict(fields=(0.3, -0.7), noise=Dephasing((0.2, 0.5)),
+                couplings=((0, 1, 0.4, -0.3, 0.8),))
+    return tuple(ModelSpec(n=2, **base, custom=extra) for extra in (
+        # (i): longitudinal field anticommutes with the X-string parity
+        CustomParts(h_extra=PauliOperator.single("Z", 0, 2, 0.5)),
+        # (ii): an X-dephasing channel keeps (i) and (iii) but makes the
+        # joint U/W intertwining system inconsistent
+        CustomParts(lindblads_extra=(PauliOperator.single("X", 0, 2, 0.5),)),
+        # (iii): Z0 (I + X1) is odd under U and consistent under W, but its
+        # anticommutator with itself is no identity multiple
+        CustomParts(lindblads_extra=(PauliOperator(2, {"ZI": 0.5, "ZX": 0.5}),)),
+    ))
 
 
 def _sector_cases():
@@ -342,7 +325,7 @@ class TestPauliBasis:
     def test_generator_is_block_diagonal_over_sectors(self):
         for spec, strings in _sector_cases():
             model = build_model(spec)
-            mat = pauli_generator(model)
+            mat = build_liouvillian(model).mat
             sectors = symmetry_sectors(model)
             assert len(sectors) == (1, 2, 4, 4)[len(strings)]
             assert sorted(np.concatenate(sectors).tolist()) == list(range(4 ** model.n))
@@ -363,31 +346,15 @@ class TestPauliBasis:
             assert_spectra_match(result.eig_liouvillian, oracle, 1e-8)
             assert_spectra_match(result.eig_shifted, oracle + result.shift, 1e-8)
 
-    def test_column_stacking_view_matches_oracle(self):
-        for spec in _complex_rate_specs() + (_z0_field_control(2),):
-            model = build_model(spec)
-            oracle = generator_matrix(
-                dense_operator(model.hamiltonian),
-                [dense_operator(lm) for lm in model.lindblads],
-            )
-            assert np.max(np.abs(build_liouvillian(model).mat - oracle)) < 1e-12
-
     def test_pt_residual_matches_dense_oracle(self):
         rng = np.random.default_rng(233)
         models = [build_model(random_example1_spec(rng, n)) for n in (1, 2, 3)]
         models += [build_model(random_example2_spec(rng, n)) for n in (1, 2, 3)]
-        models += [build_model(spec) for spec in _complex_rate_specs()]
-        base = dict(fields=(0.3, -0.7), noise=Dephasing((0.2, 0.5)),
-                    couplings=((0, 1, 0.4, -0.3, 0.8),))
-        for extra in (
-            CustomParts(h_extra=PauliOperator.single("Z", 0, 2, 0.5)),               # (i)
-            CustomParts(lindblads_extra=(PauliOperator.single("X", 0, 2, 0.5),)),    # (ii)
-            CustomParts(lindblads_extra=(PauliOperator(2, {"ZI": 0.5, "ZX": 0.5}),)),  # (iii)
-            # U and W that are sums of strings
-            CustomParts(u=PauliOperator(2, {"XX": 0.6, "ZY": 0.8j}),
-                        w=PauliOperator(2, {"II": 0.5, "YZ": -0.5, "XI": 0.2})),
-        ):
-            models.append(build_model(ModelSpec(n=2, **base, custom=extra)))
+        models += [build_model(spec) for spec in _complex_rate_specs() + _condition_controls()]
+        # U and W that are sums of strings, on the controls' base model
+        models.append(build_model(replace(_condition_controls()[0], custom=CustomParts(
+            u=PauliOperator(2, {"XX": 0.6, "ZY": 0.8j}),
+            w=PauliOperator(2, {"II": 0.5, "YZ": -0.5, "XI": 0.2})))))
         for model in models:
             assert abs(pt_residual(model) - oracle_pt_residual(model)) < 1e-12
 
@@ -396,7 +363,7 @@ class TestPauliBasis:
         ident = PauliOperator.identity(1)
         model = Model(1, h, (PauliOperator.term("Z", 0.3),), ident, ident, "custom")
         with pytest.raises(ModelConfigError, match="Hermitian"):
-            pauli_generator(model)
+            build_liouvillian(model)
         with pytest.raises(ModelConfigError, match="custom.h_extra"):
             build_model(ModelSpec(n=1, fields=(0.5,), noise=Dephasing((0.3,)),
                                   custom=CustomParts(h_extra=PauliOperator.term("Z", 0.2j))))
