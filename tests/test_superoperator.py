@@ -346,6 +346,19 @@ class TestPauliBasis:
             assert_spectra_match(result.eig_liouvillian, oracle, 1e-8)
             assert_spectra_match(result.eig_shifted, oracle + result.shift, 1e-8)
 
+    def test_column_stacking_view_matches_oracle(self):
+        # B R B^-1 with B[:, a] = vec(P_a) column-stacked and B^-1 = B^dag / 2^n
+        for spec in _complex_rate_specs() + (_z0_field_control(2),):
+            model = build_model(spec)
+            words = pauli_words(model.n)
+            basis = np.stack([w.ravel(order="F") for w in words], axis=1)
+            view = basis @ build_liouvillian(model).mat @ basis.conj().T / 2 ** model.n
+            oracle = generator_matrix(
+                dense_operator(model.hamiltonian),
+                [dense_operator(lm) for lm in model.lindblads],
+            )
+            assert np.max(np.abs(view - oracle)) < 1e-12
+
     def test_pt_residual_matches_dense_oracle(self):
         rng = np.random.default_rng(233)
         models = [build_model(random_example1_spec(rng, n)) for n in (1, 2, 3)]
