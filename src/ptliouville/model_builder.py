@@ -180,13 +180,17 @@ def build_example2(spec: ModelSpec) -> Model:
 
 
 def build_model(spec: ModelSpec) -> Model:
-    """Realize a spec: family build per noise type, then any custom overrides."""
-    validate_spec(spec)
+    """Realize a spec: family build per noise type, then any custom overrides.
+
+    The family builders validate the spec themselves, so only the custom
+    path calls validate_spec here: one validation per build on every path.
+    """
     if isinstance(spec.noise, Dephasing):
         base = build_example1(spec)
     elif isinstance(spec.noise, Injection):
         base = build_example2(spec)
     else:
+        validate_spec(spec)
         if spec.custom is None or spec.custom.u is None or spec.custom.w is None:
             raise ModelConfigError(
                 "a model without a noise family must supply custom u and w"

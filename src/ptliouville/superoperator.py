@@ -24,7 +24,7 @@ from functools import reduce
 import numpy as np
 
 from .model_builder import Model, require_hermitian
-from .pauli_algebra import _MUL1, PAULI_LETTERS, PauliOperator, anticommutator, string_mul
+from .pauli_algebra import PAULI_LETTERS, PauliOperator, anticommutator, string_mul
 
 _SITE = {
     "I": np.eye(2, dtype=complex),
@@ -39,7 +39,7 @@ _SITE = {
 # the two words anticommute.
 _I_POWERS = np.array([1, 1j, -1, -1j])
 _PHASE_EXP = np.array(
-    [[{1: 0, 1j: 1, -1: 2, -1j: 3}[_MUL1[(a, b)][0]] for b in PAULI_LETTERS]
+    [[{1: 0, 1j: 1, -1: 2, -1j: 3}[string_mul(a, b)[0]] for b in PAULI_LETTERS]
      for a in PAULI_LETTERS]
 )
 

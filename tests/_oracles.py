@@ -36,6 +36,61 @@ def dense_operator(op) -> np.ndarray:
     return out
 
 
+def _letter_product(a: str, b: str) -> tuple:
+    """(phase, letter) with a @ b = phase * letter, read off the 2 x 2 matrices."""
+    prod = _SITE[a] @ _SITE[b]
+    for letter, mat in _SITE.items():
+        phase = np.vdot(mat, prod) / 2  # Hilbert-Schmidt overlap; one letter matches
+        if np.allclose(prod, phase * mat):
+            return complex(phase), letter
+    raise AssertionError(f"{a}{b} is not a phased Pauli matrix")
+
+
+_LETTER_PRODUCTS = {(a, b): _letter_product(a, b) for a in "IXYZ" for b in "IXYZ"}
+
+
+def reference_string_mul(a: str, b: str) -> tuple:
+    """(phase, word) with a @ b = phase * word, one site at a time."""
+    phase = 1.0 + 0j
+    letters = []
+    for la, lb in zip(a, b):
+        p, letter = _LETTER_PRODUCTS[la, lb]
+        phase *= p
+        letters.append(letter)
+    return phase, "".join(letters)
+
+
+def _pruned(terms: dict, tol: float) -> dict:
+    return {word: coeff for word, coeff in terms.items() if abs(coeff) >= tol}
+
+
+def reference_product(a: dict, b: dict, tol: float) -> dict:
+    """a @ b of word -> coefficient dicts.
+
+    Term pairs in a-major order, each word's sum started from 0j and grown
+    by ca * cb * phase, then coefficients below tol dropped.
+    """
+    acc = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            phase, word = reference_string_mul(wa, wb)
+            acc[word] = acc.get(word, 0j) + ca * cb * phase
+    return _pruned(acc, tol)
+
+
+def reference_sum(a: dict, b: dict, tol: float) -> dict:
+    """a + b: a's words in order, then b's new ones, each b term added, then pruned."""
+    acc = dict(a)
+    for word, coeff in b.items():
+        acc[word] = acc.get(word, 0j) + coeff
+    return _pruned(acc, tol)
+
+
+def reference_difference(a: dict, b: dict, tol: float) -> dict:
+    """a + (-b), with the negated b pruned first."""
+    return reference_sum(a, _pruned({w: -c for w, c in b.items()}, tol), tol)
+
+
 def _generator_action(h_mat, lindblad_mats, rho):
     """-i[H, rho] + sum(2 L rho L+ - {L+L, rho}) by plain matrix products."""
     acc = -1j * (h_mat @ rho - rho @ h_mat)

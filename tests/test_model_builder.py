@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import ptliouville.model_builder as model_builder
 import ptliouville.pauli_algebra as pauli_algebra
 from ptliouville import (
     PRUNE_TOL,
@@ -345,6 +346,27 @@ class TestLinearBuilder:
         )
         parse_model_config(text)
         assert sorted(calls) == ["IZ", "XX", "ZI"]
+
+    def test_one_validation_per_build(self, monkeypatch):
+        # the family builders validate their spec; build_model validates only the custom path
+        calls = []
+        validate = model_builder.validate_spec
+
+        def counting(spec):
+            calls.append(spec)
+            validate(spec)
+
+        monkeypatch.setattr(model_builder, "validate_spec", counting)
+        rng = np.random.default_rng(257)
+        custom = ModelSpec(
+            n=2,
+            couplings=((0, 1, 0.4, -0.3, 0.9),),
+            custom=CustomParts(u=PauliOperator.term("XX"), w=PauliOperator.term("ZZ")),
+        )
+        for spec in (random_example1_spec(rng, 3), random_example2_spec(rng, 3), custom):
+            calls.clear()
+            build_model(spec)
+            assert calls == [spec]
 
 
 NAN, INF = math.nan, math.inf

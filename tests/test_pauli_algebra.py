@@ -1,18 +1,29 @@
+import re
+
 import numpy as np
 import pytest
 
 from ptliouville import (
+    PRUNE_TOL,
     DimensionError,
     PauliOperator,
     anticommutator,
     as_identity_multiple,
+    build_model,
     commutator,
     sigma_minus,
     sigma_plus,
     string_mul,
 )
 
-from _oracles import dense_operator
+from _corpus import random_example1_spec, random_example2_spec
+from _oracles import (
+    dense_operator,
+    reference_difference,
+    reference_product,
+    reference_string_mul,
+    reference_sum,
+)
 
 
 def random_operator(rng, n, n_terms=4):
@@ -39,6 +50,22 @@ class TestStringMul:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             string_mul("XY", "X")
+
+    @pytest.mark.parametrize("bad", ["1", "a", " ", "_", "x"])
+    def test_invalid_letter_names_word(self, bad):
+        # the word codes parse as hex, which would read these as digits or skip them
+        word = "X" + bad + "Z"
+        for a, b in ((word, "IXY"), ("IXY", word)):
+            with pytest.raises(ValueError, match=re.escape(repr(word))):
+                string_mul(a, b)
+
+    def test_matches_reference(self):
+        rng = np.random.default_rng(19)
+        for n in list(range(1, 9)) + [16, 31, 32, 33, 64, 70]:
+            for _ in range(20):
+                a = "".join(rng.choice(list("IXYZ"), size=n))
+                b = "".join(rng.choice(list("IXYZ"), size=n))
+                assert string_mul(a, b) == reference_string_mul(a, b)
 
     def test_phase_closure(self):
         rng = np.random.default_rng(11)
@@ -167,3 +194,56 @@ def test_pruning_keeps_canonical_form():
 def test_canonical_term_order():
     op = PauliOperator(1, {"Z": 1.0, "I": 2.0, "X": 3.0, "Y": 4.0})
     assert [w for w, _ in op.sorted_terms()] == ["I", "X", "Y", "Z"]
+
+
+def hex_terms(terms):
+    """Words in key order with the exact bits of both coefficient parts."""
+    return [(w, c.real.hex(), c.imag.hex()) for w, c in terms.items()]
+
+
+class TestReferenceProducts:
+    """Bitwise agreement, key order included, with the per-letter reference products."""
+
+    @staticmethod
+    def assert_pinned(a, b):
+        x, y = a.terms, b.terms
+        ab, ba = reference_product(x, y, PRUNE_TOL), reference_product(y, x, PRUNE_TOL)
+        pinned = (
+            (a @ b, ab),
+            (b @ a, ba),
+            (commutator(a, b), reference_difference(ab, ba, PRUNE_TOL)),
+            (anticommutator(a, b), reference_sum(ab, ba, PRUNE_TOL)),
+            (a - b, reference_difference(x, y, PRUNE_TOL)),
+        )
+        for got, want in pinned:
+            assert hex_terms(got.terms) == hex_terms(want)
+
+    def test_random_colliding_operators(self):
+        # words drawn from a small pool collide in the products; magnitudes
+        # from 1e-8 to 1 put many product terms near PRUNE_TOL
+        rng = np.random.default_rng(23)
+
+        def operator(n, pool):
+            terms = {}
+            for _ in range(int(rng.integers(0, 9))):
+                word = pool[int(rng.integers(len(pool)))]
+                value = complex(rng.normal(), rng.normal()) * 10.0 ** rng.uniform(-8, 0)
+                terms[word] = (value, value.real, 1j * value.imag)[int(rng.integers(3))]
+            return PauliOperator(n, terms)
+
+        for n in range(1, 7):
+            for _ in range(60):
+                pool = ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(4)]
+                self.assert_pinned(operator(n, pool), operator(n, pool))
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("make", [random_example1_spec, random_example2_spec],
+                             ids=["family1", "family2"])
+    def test_family_models(self, make, n):
+        model = build_model(make(np.random.default_rng(n), n))
+        h, u, w = model.hamiltonian, model.u, model.w
+        for a, b in ((h, u), (h, w), (u, u.dagger()), (w, w)):
+            self.assert_pinned(a, b)
+        for lm in model.lindblads[:4]:
+            self.assert_pinned(lm, lm.dagger())
+            self.assert_pinned(u @ lm, u)
