@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from .errors import DimensionError, ModelConfigError
@@ -62,6 +62,7 @@ class ModelSpec:
     noise: Union[Dephasing, Injection, None] = None
     scale: float = 1.0
     custom: Optional[CustomParts] = None
+    _validated: bool = field(default=False, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,8 @@ def _hamiltonian(n: int, couplings, fields=()) -> PauliOperator:
 
 def build_example1(spec: ModelSpec) -> Model:
     """Family 1: XYZ couplings + x-field, dephasing channels, U = prod X, W = identity."""
-    validate_spec(spec)
+    if not spec._validated:
+        validate_spec(spec)
     if not isinstance(spec.noise, Dephasing):
         raise ModelConfigError("example-1 build requires dephasing noise")
     n = spec.n
@@ -161,7 +163,8 @@ def build_example2(spec: ModelSpec) -> Model:
     zero-rate channels are dropped (their rows would make the reflection
     solve singular).
     """
-    validate_spec(spec)
+    if not spec._validated:
+        validate_spec(spec)
     if not isinstance(spec.noise, Injection):
         raise ModelConfigError("example-2 build requires injection noise")
     if spec.fields and any(f != 0 for f in spec.fields):
@@ -183,14 +186,15 @@ def build_model(spec: ModelSpec) -> Model:
     """Realize a spec: family build per noise type, then any custom overrides.
 
     The family builders validate the spec themselves, so only the custom
-    path calls validate_spec here: one validation per build on every path.
+    path does here; none validates a spec from parse_model_config again.
     """
     if isinstance(spec.noise, Dephasing):
         base = build_example1(spec)
     elif isinstance(spec.noise, Injection):
         base = build_example2(spec)
     else:
-        validate_spec(spec)
+        if not spec._validated:
+            validate_spec(spec)
         if spec.custom is None or spec.custom.u is None or spec.custom.w is None:
             raise ModelConfigError(
                 "a model without a noise family must supply custom u and w"
@@ -422,4 +426,5 @@ def parse_model_config(text: str) -> ModelSpec:
         custom=custom,
     )
     validate_spec(spec)
+    object.__setattr__(spec, "_validated", True)  # so the builders skip validate_spec
     return spec

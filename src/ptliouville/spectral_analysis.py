@@ -386,7 +386,6 @@ def classify_pt_phase(model: Model, tol_im: float = TOL_IM) -> PhaseClassificati
 # ITP safeguard (Oliveira & Takahashi, ACM TOMS 47(1), 2020).
 SCAN_EXTRA_PROBES = 10
 _OVERSHOOT = 0.25  # a march step aims this fraction past the predicted collision
-_TRUNCATION = 0.01  # ITP kappa_1, relative to the bracket width when refinement starts
 
 
 @dataclass(frozen=True, eq=False)
@@ -510,9 +509,9 @@ def _flip_estimate(lo: _Probe, hi: _Probe, replaced: Optional[_Probe],
     """Interpolated lambda at which the label flips between the bracket ends lo and hi.
 
     Each eigenvalue that crossed the axis between them has a root of its
-    _indicator, interpolated in mu through lo, hi and the bracket end last
-    replaced; the label flips at the root that takes the on-axis count past
-    need.  None when too few roots are found.
+    _indicator, interpolated in mu through lo, hi and replaced (the bracket
+    end last replaced, or the march's probe before lo); the label flips at
+    the root that takes the on-axis count past need.  None without enough roots.
     """
     unbroken, broken = (lo, hi) if lo.label == UNBROKEN else (hi, lo)
     roots = []
@@ -549,9 +548,9 @@ def scan_pt_breaking(
     BROKEN.  The first step doubles lambda_min; each later one goes to just
     past the nearest collision of on-axis eigenvalues predicted from the
     last UNBROKEN probes (_predicted_collision), at least a quarter and at
-    most twice the step before.  It then refines the bracket, probing near the
-    interpolated flip (_flip_estimate), pushed toward the bracket's middle
-    by an ITP truncation; from a BROKEN lambda_min it refines at once.
+    most twice the step before.  It then refines the bracket, probing a
+    quarter resolution from the interpolated flip (_flip_estimate) toward the
+    bracket's middle; from a BROKEN lambda_min it refines at once.
     Every probe is projected as in ITP, so a scan makes at most
     SCAN_EXTRA_PROBES more probes than bisection's
     2 + ceil(log2((lambda_max - lambda_min) / resolution)).  The bracket
@@ -596,7 +595,7 @@ def scan_pt_breaking(
               + SCAN_EXTRA_PROBES)
     marching = lo.label == UNBROKEN
     history, step = [lo], lo.lam  # the march's UNBROKEN probes, its last step
-    replaced = truncation = None  # the bracket end last replaced; ITP kappa_1
+    replaced = None  # the bracket end last replaced: the third interpolation point
     for j in range(budget):
         width = hi.lam - lo.lam
         mid = 0.5 * (lo.lam + hi.lam)
@@ -612,12 +611,8 @@ def scan_pt_breaking(
             if marching:
                 target = lo.lam + ahead
         estimate = None if marching else _flip_estimate(lo, hi, replaced, need)
-        if estimate is not None:
-            if truncation is None:
-                truncation = _TRUNCATION / width
-            delta = max(truncation * width * width, 0.25 * resolution)
-            if delta <= abs(mid - estimate):
-                target = estimate + math.copysign(delta, mid - estimate)
+        if estimate is not None and 0.25 * resolution <= abs(mid - estimate):
+            target = estimate + math.copysign(0.25 * resolution, mid - estimate)
         radius = max(0.0, math.ldexp(resolution, budget - j - 1) - 0.5 * width)
         x = min(max(target, mid - radius), mid + radius)
         if not lo.lam < x < hi.lam:
@@ -628,8 +623,8 @@ def scan_pt_breaking(
                 history.append(new)
                 step = x - lo.lam
             lo, replaced = new, lo
-        else:
-            marching, hi, replaced = False, new, hi
+        else:  # the march's first BROKEN probe keeps replaced, its UNBROKEN probe before lo
+            marching, hi, replaced = False, new, replaced if marching else hi
     return ScanResult(tuple(probes), (lo.lam, hi.lam), 0.5 * (lo.lam + hi.lam))
 
 

@@ -127,7 +127,7 @@ def build_liouvillian(model: Model) -> SuperOp:
 
 
 def _anticommutes(a: str, b: str) -> bool:
-    return string_mul(a, b)[0].imag != 0
+    return sum(x != y and "I" != x and "I" != y for x, y in zip(a, b)) % 2 == 1
 
 
 def z2_symmetry_strings(model: Model) -> tuple[str, ...]:

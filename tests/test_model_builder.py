@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -367,6 +368,34 @@ class TestLinearBuilder:
             calls.clear()
             build_model(spec)
             assert calls == [spec]
+
+    def test_one_validation_per_parse_and_build(self, monkeypatch):
+        # parse_model_config validates; building the spec it returns does not again
+        calls = []
+        validate = model_builder.validate_spec
+
+        def counting(spec):
+            calls.append(spec)
+            validate(spec)
+
+        monkeypatch.setattr(model_builder, "validate_spec", counting)
+        for text in (
+            '{"n":3,"noise":{"type":"dephasing","gammas":[0.2,0.4,0.1]}}',
+            '{"n":2,"hamiltonian":{"couplings":[{"i":0,"j":1,"jx":1,"jy":1}]},'
+            '"noise":{"type":"injection","a":[1,0],"b":[0,1]}}',
+            '{"n":2,"hamiltonian":{"couplings":[{"i":0,"j":1,"jx":0.4,"jz":0.9}]},'
+            '"custom":{"u":[{"word":"XX","coeff":1}],"w":[{"word":"ZZ","coeff":1}]}}',
+        ):
+            calls.clear()
+            spec = parse_model_config(text)
+            build_model(spec)
+            assert calls == [spec]
+            # replace() gives a new spec, which is validated when built
+            calls.clear()
+            build_model(replace(spec, scale=0.5))
+            assert len(calls) == 1
+            with pytest.raises(ModelConfigError):
+                build_model(replace(spec, n=spec.n + 1))
 
 
 NAN, INF = math.nan, math.inf

@@ -577,7 +577,31 @@ class TestScan:
         bisection = 2 + math.ceil(math.log2((2.0 - 0.01) / 1e-6))
         assert bisection == 23
         assert max(counts) <= bisection + spectral_analysis.SCAN_EXTRA_PROBES
-        assert (len(counts), np.median(counts), max(counts)) == (11, 13, 15)
+        assert (len(counts), np.median(counts), max(counts)) == (11, 11, 14)
+
+    def test_refinement_starts_from_the_march(self, monkeypatch):
+        # the first flip estimate interpolates through the march's UNBROKEN
+        # probe before lo, not the far lambda_max probe, and is accurate
+        # enough that one probe on each side closes the bracket
+        calls = []
+        estimate = spectral_analysis._flip_estimate
+
+        def recording(lo, hi, replaced, need):
+            calls.append((lo, hi, replaced))
+            return estimate(lo, hi, replaced, need)
+
+        monkeypatch.setattr(spectral_analysis, "_flip_estimate", recording)
+        for h, total in ((0.3, 7), (1.0, 8), (2.5, 8)):
+            calls.clear()
+            result = scan_pt_breaking(single_qubit_spec(h), 0.1, 2.0, resolution=1e-6)
+            lo, hi, replaced = calls[0]
+            assert (lo.label, hi.label, replaced.label) == (UNBROKEN, BROKEN, UNBROKEN)
+            assert replaced.lam < lo.lam and hi.lam < 2.0
+            labels = [p.classification for p in result.probes]
+            first_broken = labels.index(BROKEN, 2)  # probes 0 and 1 are the bounds
+            assert len(labels) - first_broken - 1 <= 2
+            assert len(labels) == total
+            assert result.gamma_pt == pytest.approx(bloch_transition_scale(h), abs=1e-6)
 
     def test_resolution_below_float_spacing_ends_at_adjacent_floats(self):
         # no float lies strictly between the bracket ends, so the search stops

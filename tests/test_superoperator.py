@@ -24,6 +24,7 @@ from ptliouville import (
     symmetry_sectors,
     z2_symmetry_strings,
 )
+from ptliouville import superoperator
 
 from _corpus import random_example1_spec, random_example2_spec
 from _oracles import (
@@ -40,6 +41,7 @@ from _oracles import (
     pauli_generator_matrix,
     pauli_sum,
     pauli_words,
+    reference_string_mul,
     shifted_generator_matrix,
 )
 from _oracles import pt_residual as oracle_pt_residual
@@ -321,6 +323,15 @@ class TestPauliBasis:
     def test_symmetry_strings(self):
         for spec, strings in _sector_cases():
             assert z2_symmetry_strings(build_model(spec)) == strings, spec
+
+    def test_anticommutes_matches_string_product(self):
+        # two words anticommute exactly when the phase of their product is imaginary
+        rng = np.random.default_rng(263)
+        for _ in range(400):
+            n = int(rng.integers(1, 9))
+            a, b = ("".join(rng.choice(list("IXYZ"), n)) for _ in range(2))
+            phase, _ = reference_string_mul(a, b)
+            assert superoperator._anticommutes(a, b) == (phase.imag != 0), (a, b)
 
     def test_generator_is_block_diagonal_over_sectors(self):
         for spec, strings in _sector_cases():
