@@ -12,11 +12,11 @@ import math
 import numpy as np
 
 from ptliouville import (
+    BrokenPhaseError,
     Dephasing,
     ModelSpec,
     build_model,
     check_uniform_rate,
-    classify_pt_phase,
     scale_noise,
     scan_pt_breaking,
 )
@@ -37,14 +37,14 @@ def main():
     model = build_model(spec)
     print(" lambda   classification   uniform rate")
     for lam in (0.3, 0.6, 0.9, 0.99, 1.01, 1.3):
-        scaled = scale_noise(model, lam)
-        probe = classify_pt_phase(scaled)
-        if probe.classification == "UNBROKEN":
-            report = check_uniform_rate(scaled)
-            rate = f"{report.rate:.6f} (deviation {report.max_deviation:.1e})"
+        # one solve per lambda: the uniform rate exists exactly when UNBROKEN
+        try:
+            report = check_uniform_rate(scale_noise(model, lam))
+        except BrokenPhaseError:
+            phase, rate = "BROKEN", "-"
         else:
-            rate = "-"
-        print(f"  {lam:5.2f}   {probe.classification:12s}   {rate}")
+            phase, rate = "UNBROKEN", f"{report.rate:.6f} (deviation {report.max_deviation:.1e})"
+        print(f"  {lam:5.2f}   {phase:12s}   {rate}")
 
     ok = abs(result.gamma_pt - np.sqrt(h)) < 1e-6
     print()

@@ -46,7 +46,6 @@ from .lemma_checker import (
 from .superoperator import (
     SuperOp,
     build_liouvillian,
-    identity_component_shift,
     pauli_to_dense,
     pt_residual,
     symmetry_sectors,

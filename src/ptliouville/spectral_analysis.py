@@ -42,12 +42,7 @@ from .errors import BrokenPhaseError, ModelConfigError, UncertifiedModelError
 from .lemma_checker import check_condition_iii, check_lemma
 from .model_builder import Model, ModelSpec, build_model, require_hermitian
 from .pauli_algebra import PauliOperator, commutator
-from .superoperator import (
-    build_liouvillian,
-    identity_component_shift,
-    pauli_to_dense,
-    symmetry_sectors,
-)
+from .superoperator import build_liouvillian, pauli_to_dense, symmetry_sectors
 
 TOL_IM = 1e-8
 TOL_DEG = 1e-9
@@ -289,12 +284,13 @@ class SpectrumResult:
 def liouvillian_spectra(model: Model) -> SpectrumResult:
     """Both full spectra plus the worst elementwise defect of the shift identity.
 
-    The shift is the identity component of the channel anticommutators,
-    equal to sum(c_m) whenever the constants exist, but defined for
-    violating models too.
+    The shift is build_liouvillian's: the identity component of the channel
+    anticommutators, equal to sum(c_m) whenever the constants exist, but
+    defined for violating models too.
     """
-    blocks = _sector_blocks(build_liouvillian(model).mat, symmetry_sectors(model))
-    shift = identity_component_shift(model)
+    generator = build_liouvillian(model)
+    blocks = _sector_blocks(generator.mat, symmetry_sectors(model))
+    shift = generator.shift
     eig_l = canonical_sort(_solve_blocks(blocks))
     for block in blocks:
         block[np.diag_indices(block.shape[0])] += shift
@@ -337,8 +333,9 @@ class ScanResult:
         }
 
 
-def _axis_count(blocks: list[np.ndarray], n: int, tol_im: float) -> tuple[np.ndarray, int, str]:
-    """Eigenvalues of the sector blocks of L', their imaginary-axis count and phase label.
+def _axis_count(blocks: list[np.ndarray], n: int,
+                tol_im: float) -> tuple[np.ndarray, np.ndarray, str]:
+    """Eigenvalues of the sector blocks of L', their imaginary-axis mask and phase label.
 
     Classification, the uniform rate and every scan probe count here, so
     UNBROKEN (at least N^2 - N eigenvalues on the axis, order-free since
@@ -351,12 +348,12 @@ def _axis_count(blocks: list[np.ndarray], n: int, tol_im: float) -> tuple[np.nda
         raise ModelConfigError(f"tol_im must be finite and > 0, got {tol_im!r}")
     eigs = _solve_blocks(blocks)
     threshold = tol_im * float(np.sqrt(np.sum([np.sum(b * b) for b in blocks])))
-    count = int(np.sum(np.abs(eigs.real) < threshold))
+    on_axis = np.abs(eigs.real) < threshold
     dim = 2 ** n
-    return eigs, count, UNBROKEN if count >= dim * dim - dim else BROKEN
+    return eigs, on_axis, UNBROKEN if np.sum(on_axis) >= dim * dim - dim else BROKEN
 
 
-def _imaginary_axis_count(model: Model, tol_im: float) -> tuple[np.ndarray, int, str, float]:
+def _imaginary_axis_count(model: Model, tol_im: float) -> tuple[np.ndarray, np.ndarray, str, float]:
     """_axis_count of L' = L + shift * I, plus the shift.
 
     Needs condition (iii)'s channel constants: without them L' is not the
@@ -366,9 +363,9 @@ def _imaginary_axis_count(model: Model, tol_im: float) -> tuple[np.ndarray, int,
         raise UncertifiedModelError(
             "channel constants are unavailable: some {L_m, L_m^dag} is not an identity multiple"
         )
-    shift = identity_component_shift(model)
-    blocks = _sector_blocks(build_liouvillian(model).mat, symmetry_sectors(model), shift)
-    return (*_axis_count(blocks, model.n, tol_im), shift)
+    generator = build_liouvillian(model)
+    blocks = _sector_blocks(generator.mat, symmetry_sectors(model), generator.shift)
+    return (*_axis_count(blocks, model.n, tol_im), generator.shift)
 
 
 def classify_pt_phase(model: Model, tol_im: float = TOL_IM) -> PhaseClassification:
@@ -377,8 +374,8 @@ def classify_pt_phase(model: Model, tol_im: float = TOL_IM) -> PhaseClassificati
     The axis threshold is tol_im relative to the Frobenius norm of the
     shifted generator.
     """
-    _, count, label, _ = _imaginary_axis_count(model, tol_im)
-    return PhaseClassification(count, label)
+    _, on_axis, label, _ = _imaginary_axis_count(model, tol_im)
+    return PhaseClassification(int(np.sum(on_axis)), label)
 
 
 # A scan makes at most this many probes beyond bisection's
@@ -572,18 +569,18 @@ def scan_pt_breaking(
     sectors = symmetry_sectors(base)
     h_blocks = _sector_blocks(build_liouvillian(replace(base, lindblads=())).mat, sectors)
     no_h = replace(base, hamiltonian=PauliOperator.zero(base.n))
-    d_blocks = _sector_blocks(build_liouvillian(no_h).mat, sectors, identity_component_shift(base))
+    d_part = build_liouvillian(no_h)
+    d_blocks = _sector_blocks(d_part.mat, sectors, d_part.shift)
     bounds = np.cumsum([idx.size for idx in sectors])[:-1]
     need = 4 ** base.n - 2 ** base.n
     probes: list[ScanProbe] = []
 
     def probe(lam: float) -> _Probe:
         mu = lam * lam
-        eigs, count, label = _axis_count([h + mu * d for h, d in zip(h_blocks, d_blocks)],
-                                         base.n, tol_im)
+        eigs, on_axis, label = _axis_count([h + mu * d for h, d in zip(h_blocks, d_blocks)],
+                                           base.n, tol_im)
+        count = int(np.sum(on_axis))
         probes.append(ScanProbe(lam, count, label))
-        on_axis = np.zeros(eigs.size, dtype=bool)
-        on_axis[np.argsort(np.abs(eigs.real), kind="stable")[:count]] = True
         return _Probe(lam, count, label, np.split(eigs, bounds), np.split(on_axis, bounds))
 
     lo = probe(float(lambda_min))

@@ -1,11 +1,12 @@
-"""Generator in the Pauli-string basis, its Z2 symmetry sectors and shift, PT residual.
+"""Generator in the Pauli-string basis with its shift, its Z2 symmetry sectors, PT residual.
 
 The generator uses the doubled dissipator
 
     d rho/dt = -i[H, rho] + sum_m (2 L_m rho L_m^dag - {L_m^dag L_m, rho})
 
 so that the shifted generator is exactly L + (sum_m c_m) Id when every
-channel satisfies {L_m, L_m^dag} = c_m * identity.
+channel satisfies {L_m, L_m^dag} = c_m * identity.  build_liouvillian
+returns the generator together with that shift.
 
 Every spectrum is solved in the normalised Pauli-string basis, where
 
@@ -24,7 +25,7 @@ from functools import reduce
 import numpy as np
 
 from .model_builder import Model, require_hermitian
-from .pauli_algebra import PAULI_LETTERS, PauliOperator, anticommutator, string_mul
+from .pauli_algebra import PAULI_LETTERS, PauliOperator, string_mul
 
 _SITE = {
     "I": np.eye(2, dtype=complex),
@@ -50,10 +51,15 @@ _RESIDUAL_CHUNK = 2 ** 17
 
 @dataclass(frozen=True, eq=False)
 class SuperOp:
-    """Dense 4^n x 4^n generator matrix in the normalised Pauli-string basis."""
+    """Dense 4^n x 4^n generator matrix in the normalised Pauli-string basis, and its shift.
 
-    n: int
+    ``shift`` is the identity component of sum_m {L_m, L_m^dag}: sum_m c_m
+    whenever every anticommutator is an identity multiple (condition (iii)),
+    but defined for violating models too, whose PT residual needs it.
+    """
+
     mat: np.ndarray
+    shift: float
 
 
 def pauli_to_dense(op: PauliOperator) -> np.ndarray:
@@ -89,14 +95,15 @@ def _word_products(codes: np.ndarray, left: str, right: str) -> tuple[np.ndarray
 
 
 def build_liouvillian(model: Model) -> SuperOp:
-    """Generator of d rho/dt = -i[H, rho] + sum_m (2 L rho L^dag - {L^dag L, rho}).
+    """Generator of d rho/dt = -i[H, rho] + sum_m (2 L rho L^dag - {L^dag L, rho}), with its shift.
 
     Its matrix is the real 4^n x 4^n R[c, a] = 2^-n Tr(P_c L(P_a)).  Each
     term of H, each term pair of L_m (in 2 L_m rho L_m^dag) and each term
-    of L_m^dag L_m acts on all basis words at once.  The map preserves
-    Hermiticity, so only the real part of every contribution is kept.
-    Raises ModelConfigError when H is not Hermitian, since R would then be
-    complex.
+    of the product L_m^dag @ L_m acts on all basis words at once.  The map
+    preserves Hermiticity, so only the real part of every contribution is
+    kept.  The shift is twice the summed real identity coefficients of the
+    L_m^dag L_m, i.e. Re Tr(sum_m {L_m, L_m^dag}) / 2^n.  Raises
+    ModelConfigError when H is not Hermitian, since R would then be complex.
     """
     require_hermitian(model.hamiltonian, "hamiltonian")
     n = model.n
@@ -112,18 +119,17 @@ def build_liouvillian(model: Model) -> SuperOp:
     for word, h in model.hamiltonian.terms.items():
         add(word, ident, -1j * h)
         add(ident, word, 1j * h)
+    shift = 0.0
     for lm in model.lindblads:
-        terms = list(lm.terms.items())
-        ldl: dict[str, complex] = {}
-        for s, ls in terms:
-            for t, lt in terms:
+        for s, ls in lm.terms.items():
+            for t, lt in lm.terms.items():
                 add(s, t, 2 * ls * lt.conjugate())
-                phase, word = string_mul(s, t)
-                ldl[word] = ldl.get(word, 0j) + ls.conjugate() * lt * phase
-        for word, coeff in ldl.items():
+        ldl = lm.dagger() @ lm
+        shift += 2 * ldl.terms.get(ident, 0j).real
+        for word, coeff in ldl.terms.items():
             add(word, ident, -coeff)
             add(ident, word, -coeff)
-    return SuperOp(n, out)
+    return SuperOp(out, shift)
 
 
 def _anticommutes(a: str, b: str) -> bool:
@@ -161,25 +167,10 @@ def symmetry_sectors(model: Model) -> list[np.ndarray]:
     return [np.flatnonzero(label == value) for value in np.unique(label)]
 
 
-def identity_component_shift(model: Model) -> float:
-    """Hilbert-Schmidt projection of sum_m {L_m, L_m^dag} onto the identity.
-
-    Equals sum_m c_m whenever every anticommutator is an identity multiple
-    (condition (iii)), but stays defined for violating models (needed to
-    evaluate the PT residual of negative controls).
-    """
-    ident = "I" * model.n
-    total = 0.0
-    for lm in model.lindblads:
-        acomm = anticommutator(lm, lm.dagger())
-        total += acomm.terms.get(ident, 0j).real
-    return total
-
-
 def pt_residual(model: Model) -> float:
     """Frobenius defect of the anti-symmetry relation L' P = -P L'^dag, normalized.
 
-    Uses the identity-component shift so the residual is defined for models
+    Uses build_liouvillian's shift, so the residual is defined for models
     violating the channel-constant condition as well.  In the Pauli basis
     L' is the real R' and P is Q = sum over term pairs (u, w) of phased
     permutations Q_uw[perm(a), a] = q(a), perm(a) = a XOR u XOR w, an
@@ -187,8 +178,9 @@ def pt_residual(model: Model) -> float:
     block, with (R'Q)[r, a] = R'[r, perm(a)] q(a) and
     (QR'^T)[r, a] = q(perm(r)) R'[a, perm(r)].
     """
-    shifted = build_liouvillian(model).mat
-    shifted[np.diag_indices_from(shifted)] += identity_component_shift(model)
+    generator = build_liouvillian(model)
+    shifted = generator.mat
+    shifted[np.diag_indices_from(shifted)] += generator.shift
     codes = _basis_codes(model.n)
     parts = []
     for u, cu in model.u.terms.items():

@@ -124,10 +124,15 @@ def generator_matrix(h_mat, lindblad_mats):
     return _matrix_of(lambda rho: _generator_action(h_mat, lindblad_mats, rho), h_mat.shape[0])
 
 
+def dense_shift(lindblad_mats, dim: int) -> float:
+    """s = Re Tr(sum_m {L_m, L_m^dag}) / dim from plain matrix products."""
+    return sum(np.trace(lm @ lm.conj().T + lm.conj().T @ lm).real for lm in lindblad_mats) / dim
+
+
 def shifted_generator_matrix(h_mat, lindblad_mats):
-    """generator_matrix plus s Id, with s = Tr(sum_m {L_m, L_m^dag}) / dim."""
+    """generator_matrix plus dense_shift(lindblad_mats, dim) Id."""
     dim = h_mat.shape[0]
-    shift = sum(np.trace(lm @ lm.conj().T + lm.conj().T @ lm).real for lm in lindblad_mats) / dim
+    shift = dense_shift(lindblad_mats, dim)
     return generator_matrix(h_mat, lindblad_mats) + shift * np.eye(dim * dim)
 
 

@@ -28,7 +28,6 @@ from ptliouville import (
     check_uniform_rate,
     classify_pt_phase,
     hamiltonian_eigenbasis,
-    identity_component_shift,
     liouvillian_spectra,
     match_bohr_frequencies,
     scale_noise,
@@ -313,10 +312,11 @@ class TestSpectra:
 
 def _sequential_spectra(model):
     """Both sorted spectra from plain per-block eigvals calls, one after another."""
-    mat, sectors = build_liouvillian(model).mat, symmetry_sectors(model)
+    generator, sectors = build_liouvillian(model), symmetry_sectors(model)
+    blocks = spectral_analysis._sector_blocks
     return [canonical_sort(np.concatenate(
-        [np.linalg.eigvals(b) for b in spectral_analysis._sector_blocks(mat, sectors, shift)]))
-        for shift in (0.0, identity_component_shift(model))]
+        [np.linalg.eigvals(b) for b in blocks(generator.mat, sectors, shift)]))
+        for shift in (0.0, generator.shift)]
 
 
 def _same_bits(result, want):
@@ -654,8 +654,9 @@ class TestScan:
             assert [p.lam for p in scan.probes[:2]] == [0.01, 2.0]
             for probe, (blocks, eigs) in zip(scan.probes, probes):
                 scaled = scale_noise(base, probe.lam)
-                want = build_liouvillian(scaled).mat
-                want[np.diag_indices_from(want)] += identity_component_shift(scaled)
+                generator = build_liouvillian(scaled)
+                want = generator.mat
+                want[np.diag_indices_from(want)] += generator.shift
                 scale = np.linalg.norm(want)
                 for idx, block in zip(sectors, blocks, strict=True):
                     assert np.max(np.abs(block - want[np.ix_(idx, idx)])) <= 1e-13 * scale

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,6 @@ from ptliouville import (
     check_condition_iii,
     check_lemma,
     classify_pt_phase,
-    identity_component_shift,
     liouvillian_spectra,
     pauli_to_dense,
     pt_residual,
@@ -26,7 +26,7 @@ from ptliouville import (
 )
 from ptliouville import superoperator
 
-from _corpus import random_example1_spec, random_example2_spec
+from _corpus import mixed_corpus, random_example1_spec, random_example2_spec
 from _oracles import (
     I2,
     X,
@@ -36,6 +36,7 @@ from _oracles import (
     assert_spectra_match,
     bloch_liouvillian_eigs,
     dense_operator,
+    dense_shift,
     generator_matrix,
     pauli_coordinates,
     pauli_generator_matrix,
@@ -110,6 +111,31 @@ class TestBuildLiouvillian:
             oracle = pauli_generator_matrix(model)
             assert np.max(np.abs(build_liouvillian(model).mat - oracle)) < 1e-12
 
+    def test_shift_matches_dense_trace(self):
+        # the (ii) and (iii) controls add a channel the family's constants
+        # omit, so their shift is not sum(c_m); the (iii) channel has no c_m
+        specs = [*mixed_corpus(131, 8), *_complex_rate_specs(), *_condition_controls()]
+        for spec in specs:
+            model = build_model(spec)
+            want = dense_shift([dense_operator(lm) for lm in model.lindblads], 2 ** model.n)
+            assert abs(build_liouvillian(model).shift - want) < 1e-12, spec
+        for spec in _condition_controls()[1:]:
+            model = build_model(spec)
+            assert abs(build_liouvillian(model).shift - sum(analytic_constants(spec))) > 0.1
+        no_channels = build_model(ModelSpec(n=2, fields=(0.4, -0.2), noise=Dephasing((0.0, 0.0))))
+        assert no_channels.lindblads == ()
+        shift = build_liouvillian(no_channels).shift
+        assert shift == 0.0 and math.copysign(1.0, shift) == 1.0
+
+    def test_channel_products_use_operator_algebra(self, monkeypatch):
+        # L_m^dag L_m is PauliOperator's product, not a word-by-word string_mul loop
+        def forbidden(*args):
+            raise AssertionError("string_mul called")
+
+        monkeypatch.setattr(superoperator, "string_mul", forbidden)
+        for spec in (*_complex_rate_specs(), *_condition_controls()):
+            build_liouvillian(build_model(spec))
+
 
 class TestApplyDirect:
     def test_maximally_mixed_stationary_for_dephasing(self):
@@ -154,10 +180,10 @@ class TestShiftedLiouvillian:
         spec = random_example2_spec(rng, 2)
         model = build_model(spec)
         shift = sum(analytic_constants(spec))
-        mat = build_liouvillian(model).mat
+        generator = build_liouvillian(model)
+        mat = generator.mat
         eig_l = np.sort_complex(np.linalg.eigvals(mat))
-        eig_lp = np.sort_complex(np.linalg.eigvals(
-            mat + identity_component_shift(model) * np.eye(mat.shape[0])))
+        eig_lp = np.sort_complex(np.linalg.eigvals(mat + generator.shift * np.eye(mat.shape[0])))
         assert np.max(np.abs(np.sort(eig_lp.real) - np.sort(eig_l.real + shift))) < 1e-9
 
     def test_requires_channel_constants(self):
@@ -171,7 +197,7 @@ class TestShiftedLiouvillian:
         assert check_condition_iii(model).constants is None
         with pytest.raises(UncertifiedModelError):
             classify_pt_phase(model)
-        assert identity_component_shift(model) == pytest.approx(1.08, abs=1e-15)
+        assert build_liouvillian(model).shift == pytest.approx(1.08, abs=1e-15)
         oracle = shifted_generator_matrix(
             dense_operator(model.hamiltonian), [dense_operator(lm) for lm in model.lindblads])
         assert_spectra_match(liouvillian_spectra(model).eig_shifted,
@@ -233,7 +259,7 @@ class TestPTResidual:
         rng = np.random.default_rng(127)
         spec = random_example2_spec(rng, 2)
         expected = sum(analytic_constants(spec))
-        assert identity_component_shift(build_model(spec)) == pytest.approx(expected, abs=1e-14)
+        assert build_liouvillian(build_model(spec)).shift == pytest.approx(expected, abs=1e-14)
 
 
 class TestGeneratorInvariants:
