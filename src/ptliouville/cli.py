@@ -242,7 +242,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # overflow shows as a non-finite result, reported as one error line
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ModelConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -36,7 +36,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import BrokenPhaseError, ModelConfigError, UncertifiedModelError
 from .lemma_checker import check_condition_iii, check_lemma
@@ -534,12 +533,14 @@ def scan_pt_breaking(
 ) -> ScanResult:
     """Locate the first spontaneous breaking transition above lambda_min.
 
-    The base model (built from the given parameter record) must certify;
-    the probes multiply its channels by lambda.  When both endpoints
-    classify alike the result carries gamma_pt = None ("no transition in
-    range").  For lambda > 0, {lambda L, lambda L^dag} = lambda^2 {L, L^dag},
-    so the base's channel constants hold at every probe, scaled by lambda^2,
-    and each probe's L' is H_blk + lambda^2 (D_blk + shift * I) per sector.
+    The base model (built from the given parameter record) must certify,
+    with finite residuals and constants (else ModelConfigError, as for
+    overflowing input); the probes multiply its channels by lambda.  When
+    both endpoints classify alike the result carries gamma_pt = None ("no
+    transition in range").  For lambda > 0,
+    {lambda L, lambda L^dag} = lambda^2 {L, L^dag}, so the base's channel
+    constants hold at every probe, scaled by lambda^2, and each probe's L'
+    is H_blk + lambda^2 (D_blk + shift * I) per sector.
 
     From an UNBROKEN lambda_min the search marches upward until a probe is
     BROKEN.  The first step doubles lambda_min; each later one goes to just
@@ -563,7 +564,10 @@ def scan_pt_breaking(
     if not (0 < resolution < math.inf):
         raise ModelConfigError(f"scan resolution must be finite and > 0, got {resolution}")
     base = build_model(spec)
-    if not check_lemma(base).overall:
+    report = check_lemma(base).to_json_dict()
+    if not all(map(math.isfinite, [*report["residuals"].values(), *(report["c"] or ())])):
+        raise ModelConfigError("base model certification gives non-finite residuals or constants")
+    if not report["overall"]:
         raise UncertifiedModelError("base model fails symmetry certification; scan is undefined")
 
     sectors = symmetry_sectors(base)
@@ -683,6 +687,8 @@ def match_bohr_frequencies(
     assignments (rectangular minimum-cost matching).  With a threshold, the
     result flags residual_max above it as too much sector mixing.
     """
+    from scipy.optimize import linear_sum_assignment  # slow to import, used only here
+
     energies = np.asarray(basis.energies, dtype=float)
     count = energies.size
     level_pairs = [(j, k) for j in range(count) for k in range(count) if j != k]

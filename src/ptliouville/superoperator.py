@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
+from scipy import sparse
 
 from .model_builder import Model, require_hermitian
 from .pauli_algebra import PAULI_LETTERS, PauliOperator, string_mul
@@ -43,10 +44,6 @@ _PHASE_EXP = np.array(
     [[{1: 0, 1j: 1, -1: 2, -1j: 3}[string_mul(a, b)[0]] for b in PAULI_LETTERS]
      for a in PAULI_LETTERS]
 )
-
-# Rows of the PT-residual defect formed at a time: bounds its complex
-# temporaries to about this many entries.
-_RESIDUAL_CHUNK = 2 ** 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,30 +170,23 @@ def pt_residual(model: Model) -> float:
     Uses build_liouvillian's shift, so the residual is defined for models
     violating the channel-constant condition as well.  In the Pauli basis
     L' is the real R' and P is Q = sum over term pairs (u, w) of phased
-    permutations Q_uw[perm(a), a] = q(a), perm(a) = a XOR u XOR w, an
-    involution.  The defect R'Q + QR'^T is then formed row block by row
-    block, with (R'Q)[r, a] = R'[r, perm(a)] q(a) and
-    (QR'^T)[r, a] = q(perm(r)) R'[a, perm(r)].
+    permutations Q_uw[perm(a), a] = q(a), perm(a) = a XOR u XOR w.  Both
+    are sparse, and the defect is the sparse product R'Q + QR'^T.
     """
     generator = build_liouvillian(model)
     shifted = generator.mat
     shifted[np.diag_indices_from(shifted)] += generator.shift
     codes = _basis_codes(model.n)
-    parts = []
+    cols = np.arange(len(codes))
+    parity = sparse.csr_array(shifted.shape, dtype=complex)
     for u, cu in model.u.terms.items():
         for w, cw in model.w.terms.items():
             perm, k = _word_products(codes, u, w)
-            parts.append((perm, cu * cw * _I_POWERS[k]))
-    size = shifted.shape[0]
-    step = max(1, _RESIDUAL_CHUNK // size)
-    total = 0.0
-    for start in range(0, size, step):
-        rows = slice(start, min(start + step, size))
-        defect = np.zeros((rows.stop - start, size), dtype=complex)
-        for perm, q in parts:
-            defect += shifted[rows][:, perm] * q
-            defect += q[perm[rows], None] * shifted[:, perm[rows]].T
-        total += float(np.sum(defect.real ** 2 + defect.imag ** 2))
-    # numpy sums rather than BLAS dot products, whose rounding depends on the
-    # BLAS thread count; squared in place, as shifted is not used again
-    return float(np.sqrt(total) / max(1.0, np.sqrt(np.sum(np.square(shifted, out=shifted)))))
+            parity = parity + sparse.csr_array((cu * cw * _I_POWERS[k], (perm, cols)), shifted.shape)
+    matrix = sparse.csr_array(shifted)
+    defect = (matrix @ parity + parity @ matrix.T).data
+    # numpy sums and scipy's sparse products rather than BLAS ones, whose
+    # rounding depends on the BLAS thread count; squared in place, as shifted
+    # is not used again
+    return float(np.sqrt(np.sum(defect.real ** 2 + defect.imag ** 2))
+                 / max(1.0, np.sqrt(np.sum(np.square(shifted, out=shifted)))))

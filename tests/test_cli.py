@@ -132,19 +132,21 @@ class TestCheck:
             (OVERFLOWING_RATE, ("spectrum",), "non-finite"),
             (OVERFLOWING_RATE, ("spectrum", "--format", "json"), "non-finite"),
             (OVERFLOWING_RATE, ("vmatrix",), "non-finite"),
+            (OVERFLOWING_RATE, ("scan",), "non-finite"),
             (NON_HERMITIAN_H, ("check",), "custom.h_extra"),
             (NON_HERMITIAN_H, ("spectrum",), "custom.h_extra"),
             (NON_HERMITIAN_H, ("vmatrix",), "custom.h_extra"),
             (NON_HERMITIAN_H, ("scan",), "custom.h_extra"),
         ],
-        ids=["check", "spectrum-csv", "spectrum-json", "vmatrix", "non-hermitian-check",
+        ids=["check", "spectrum-csv", "spectrum-json", "vmatrix", "scan", "non-hermitian-check",
              "non-hermitian-spectrum", "non-hermitian-vmatrix", "non-hermitian-scan"],
     )
+    # a numpy RuntimeWarning would print lines on stderr before the error line
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_result_is_input_error(self, tmp_path, capsys, doc, argv, where):
         # input errors found past parsing: non-finite results, a non-Hermitian H
         path = write_model(tmp_path, doc)
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = run_cli(capsys, *argv, "--model", path)
+        code, out, err = run_cli(capsys, *argv, "--model", path)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -255,10 +257,10 @@ class TestScan:
         ids=["tol-im-nan", "tol-im-negative", "tol-im-inf", "lambda-max-inf", "lambda-max-nan",
              "lambda-max-overflow", "resolution-inf"],
     )
+    @pytest.mark.filterwarnings("error")
     def test_bad_scan_parameter_is_input_error(self, tmp_path, capsys, argv, where):
         path = write_model(tmp_path, EXAMPLE1_N2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = run_cli(capsys, "scan", "--model", path, *argv)
+        code, out, err = run_cli(capsys, "scan", "--model", path, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,5 +1,8 @@
 import math
 import multiprocessing
+import os
+import pathlib
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -762,6 +765,15 @@ class TestBohrMatching:
         result = match_bohr_frequencies(model, basis, threshold=1e-4)
         assert result.residual_max < 1e-4
         assert result.mixing_ok is True
+
+    def test_package_import_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize takes about half a second to import, and only
+        # match_bohr_frequencies uses it
+        src = pathlib.Path(spectral_analysis.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, ptliouville; print('scipy.optimize' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
+        assert done.stdout == "False\n"
 
 
 class TestVMatrix:

@@ -405,6 +405,16 @@ class TestPauliBasis:
         models.append(build_model(replace(_condition_controls()[0], custom=CustomParts(
             u=PauliOperator(2, {"XX": 0.6, "ZY": 0.8j}),
             w=PauliOperator(2, {"II": 0.5, "YZ": -0.5, "XI": 0.2})))))
+        # the (i) control, a Z_0 field, on both families at n = 4 and on
+        # family 1 at n = 5, whose defects have many nonzero entries
+        models += [build_model(replace(spec, custom=CustomParts(
+            h_extra=PauliOperator.single("Z", 0, spec.n, 0.5)))) for spec in (
+                random_example1_spec(rng, 4), random_example2_spec(rng, 4),
+                random_example1_spec(rng, 5))]
+        # sums of strings for U and W at n = 4
+        models.append(build_model(replace(random_example2_spec(rng, 4), custom=CustomParts(
+            u=PauliOperator(4, {"YYYY": 0.6, "ZYIX": 0.8j}),
+            w=PauliOperator(4, {"IIII": 0.5, "XXXX": -0.5, "XIIZ": 0.2})))))
         for model in models:
             assert abs(pt_residual(model) - oracle_pt_residual(model)) < 1e-12
 
