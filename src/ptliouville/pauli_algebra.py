@@ -135,6 +135,18 @@ def _decoded(n: int, acc: dict[int, complex]) -> "PauliOperator":
     })
 
 
+def product_terms(a: "PauliOperator", b: "PauliOperator") -> dict[str, complex]:
+    """``(a @ b).terms`` before the ``PRUNE_TOL`` cut: only exact zeros are dropped.
+
+    For callers whose exact cancellations need the tiny terms as well.
+    """
+    _same_sites(a, b, "multiply")
+    pairs = _pair_products(_encoded(a.terms.items()), _encoded(b.terms.items()))
+    spec = f"0{a.n}x"
+    return {format(code, spec).translate(_DECODE): value
+            for code, value in _summed(pairs).items() if value}
+
+
 def string_mul(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
     """Sitewise product of two Pauli words.
 

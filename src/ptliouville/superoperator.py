@@ -15,6 +15,9 @@ Every spectrum is solved in the normalised Pauli-string basis, where
 is real for a Hermitian H.  Basis words are indexed in base 4 with the
 letter codes I, X, Y, Z = 0..3 (the ``sorted_terms`` order), first site
 most significant.
+
+Everything here is numpy: the PT residual's sparse product is formed from
+index arrays, so importing the package loads no part of scipy.
 """
 
 from __future__ import annotations
@@ -23,10 +26,9 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy import sparse
 
 from .model_builder import Model, require_hermitian
-from .pauli_algebra import PAULI_LETTERS, PauliOperator, string_mul
+from .pauli_algebra import PAULI_LETTERS, PauliOperator, product_terms, string_mul
 
 _SITE = {
     "I": np.eye(2, dtype=complex),
@@ -96,7 +98,7 @@ def build_liouvillian(model: Model) -> SuperOp:
 
     Its matrix is the real 4^n x 4^n R[c, a] = 2^-n Tr(P_c L(P_a)).  Each
     term of H, each term pair of L_m (in 2 L_m rho L_m^dag) and each term
-    of the product L_m^dag @ L_m acts on all basis words at once.  The map
+    of the product L_m^dag L_m acts on all basis words at once.  The map
     preserves Hermiticity, so only the real part of every contribution is
     kept.  The shift is twice the summed real identity coefficients of the
     L_m^dag L_m, i.e. Re Tr(sum_m {L_m, L_m^dag}) / 2^n.  Raises
@@ -121,9 +123,11 @@ def build_liouvillian(model: Model) -> SuperOp:
         for s, ls in lm.terms.items():
             for t, lt in lm.terms.items():
                 add(s, t, 2 * ls * lt.conjugate())
-        ldl = lm.dagger() @ lm
-        shift += 2 * ldl.terms.get(ident, 0j).real
-        for word, coeff in ldl.terms.items():
+        # unpruned, so that each term cancels its 2 L_m rho L_m^dag partner
+        # in the trace row, however small the channel
+        ldl = product_terms(lm.dagger(), lm)
+        shift += 2 * ldl.get(ident, 0j).real
+        for word, coeff in ldl.items():
             add(word, ident, -coeff)
             add(ident, word, -coeff)
     return SuperOp(out, shift)
@@ -170,23 +174,37 @@ def pt_residual(model: Model) -> float:
     Uses build_liouvillian's shift, so the residual is defined for models
     violating the channel-constant condition as well.  In the Pauli basis
     L' is the real R' and P is Q = sum over term pairs (u, w) of phased
-    permutations Q_uw[perm(a), a] = q(a), perm(a) = a XOR u XOR w.  Both
-    are sparse, and the defect is the sparse product R'Q + QR'^T.
+    permutations Q_uw[perm(a), a] = q(a), perm(a) = a XOR u XOR w.  The
+    defect is the sparse product R'Q + QR'^T: each stored entry R'[r, a]
+    gives R'[r, a] q(perm(a)) at (r, perm(a)) and q(a) R'[r, a] at
+    (perm(a), r).  Entries that share a position are summed in that order,
+    and exact zeros are dropped, as a sparse product stores none: numpy's
+    pairwise sum rounds by position, so a kept zero could move the last digit.
     """
     generator = build_liouvillian(model)
     shifted = generator.mat
     shifted[np.diag_indices_from(shifted)] += generator.shift
     codes = _basis_codes(model.n)
-    cols = np.arange(len(codes))
-    parity = sparse.csr_array(shifted.shape, dtype=complex)
+    size = len(codes)
+    # row-major positions of the stored entries; a boolean mask finds them
+    # several times faster than np.nonzero on the float matrix
+    flat = np.flatnonzero(shifted.ravel() != 0)
+    (rows, cols), vals = np.divmod(flat, size), shifted.ravel()[flat]
+    # the empty arrays stand for a zero U or W, whose defect is zero
+    keys, entries = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
     for u, cu in model.u.terms.items():
         for w, cw in model.w.terms.items():
             perm, k = _word_products(codes, u, w)
-            parity = parity + sparse.csr_array((cu * cw * _I_POWERS[k], (perm, cols)), shifted.shape)
-    matrix = sparse.csr_array(shifted)
-    defect = (matrix @ parity + parity @ matrix.T).data
-    # numpy sums and scipy's sparse products rather than BLAS ones, whose
-    # rounding depends on the BLAS thread count; squared in place, as shifted
-    # is not used again
-    return float(np.sqrt(np.sum(defect.real ** 2 + defect.imag ** 2))
+            q = cu * cw * _I_POWERS[k]
+            moved = perm[cols]
+            keys += [rows * size + moved, moved * size + rows]
+            entries += [vals * q[moved], q[cols] * vals]
+    keys, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    entries = np.concatenate(entries)
+    re = np.bincount(slot, entries.real, len(keys))
+    im = np.bincount(slot, entries.imag, len(keys))
+    stored = (re != 0) | (im != 0)
+    # numpy sums rather than BLAS products, whose rounding depends on the
+    # BLAS thread count; squared in place, as shifted is not used again
+    return float(np.sqrt(np.sum(re[stored] ** 2 + im[stored] ** 2))
                  / max(1.0, np.sqrt(np.sum(np.square(shifted, out=shifted)))))

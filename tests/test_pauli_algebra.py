@@ -15,6 +15,7 @@ from ptliouville import (
     sigma_plus,
     string_mul,
 )
+from ptliouville.pauli_algebra import product_terms
 
 from _corpus import random_example1_spec, random_example2_spec
 from _oracles import (
@@ -189,6 +190,23 @@ def test_pruning_keeps_canonical_form():
     assert tiny == PauliOperator.zero(1)
     diff = PauliOperator.term("X") - PauliOperator.term("X")
     assert not diff.terms
+
+
+def test_product_terms_skip_only_the_pruning():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3):
+        a, b = random_operator(rng, n), random_operator(rng, n)
+        assert hex_terms(product_terms(a, b)) == hex_terms((a @ b).terms)
+    # (1e-8 X - 2e-8i Z)(1e-8 X + 2e-8i Z) = 5e-16 I + 4e-16 Y, all below PRUNE_TOL
+    small = PauliOperator(1, {"X": 1e-8, "Z": 2e-8j})
+    assert (small.dagger() @ small) == PauliOperator.zero(1)
+    terms = product_terms(small.dagger(), small)
+    assert set(terms) == {"I", "Y"}
+    assert terms["I"] == pytest.approx(5e-16, rel=1e-12)
+    assert terms["Y"] == pytest.approx(4e-16, rel=1e-12)
+    # an exact cancellation is dropped: (X + Z)(X - Z) = (1 - 1) I + 2i Y
+    assert product_terms(PauliOperator(1, {"X": 1.0, "Z": 1.0}),
+                         PauliOperator(1, {"X": 1.0, "Z": -1.0})) == {"Y": 2j}
 
 
 def test_canonical_term_order():

@@ -768,12 +768,30 @@ class TestBohrMatching:
 
     def test_package_import_leaves_scipy_optimize_unloaded(self):
         # scipy.optimize takes about half a second to import, and only
-        # match_bohr_frequencies uses it
+        # match_bohr_frequencies uses it; no other path loads any of scipy.
+        # The second run blocks the import, so those paths work without scipy.
+        script = """
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+from ptliouville import (Dephasing, ModelSpec, build_model, check_lemma, hamiltonian_eigenbasis,
+                         liouvillian_spectra, pt_residual, scan_pt_breaking, v_matrix)
+spec = ModelSpec(n=2, couplings=((0, 1, 0.6, 0.4, -0.2),), fields=(0.3, -0.5),
+                 noise=Dephasing((0.2, 0.3)))
+model = build_model(spec)
+assert check_lemma(model).overall and pt_residual(model) < 1e-10
+liouvillian_spectra(model)
+scan_pt_breaking(spec, 0.01, 2.0, resolution=1e-3)
+v_matrix(model, hamiltonian_eigenbasis(model, resolve_w=True))
+print(sorted(name for name, module in sys.modules.items()
+             if module is not None and name.split(".")[0] == "scipy"))
+"""
         src = pathlib.Path(spectral_analysis.__file__).resolve().parents[1]
-        done = subprocess.run(
-            [sys.executable, "-c", "import sys, ptliouville; print('scipy.optimize' in sys.modules)"],
-            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
-        assert done.stdout == "False\n"
+        for mode in ("open", "blocked"):
+            done = subprocess.run(
+                [sys.executable, "-c", script, mode],
+                env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
+            assert done.stdout == "[]\n", mode
 
 
 class TestVMatrix:

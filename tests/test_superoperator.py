@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from ptliouville import (
     CustomParts,
@@ -128,7 +129,8 @@ class TestBuildLiouvillian:
         assert shift == 0.0 and math.copysign(1.0, shift) == 1.0
 
     def test_channel_products_use_operator_algebra(self, monkeypatch):
-        # L_m^dag L_m is PauliOperator's product, not a word-by-word string_mul loop
+        # L_m^dag L_m comes from the operator algebra's code products
+        # (pauli_algebra.product_terms), not a word-by-word string_mul loop
         def forbidden(*args):
             raise AssertionError("string_mul called")
 
@@ -270,6 +272,16 @@ class TestGeneratorInvariants:
             # Tr L(rho) is 2^n times the identity coordinate: row 0 of R
             mat = build_liouvillian(model).mat
             assert np.max(np.abs(mat[0])) < 1e-12
+        # a channel so small that every term of L^dag L lies below PRUNE_TOL:
+        # those terms must still cancel their 2 L rho L^dag partners exactly
+        tiny = PauliOperator(1, {"X": 1e-8, "Z": 2e-8j})
+        model = build_model(ModelSpec(n=1, fields=(0.5,), noise=Dephasing((0.3,)),
+                                      custom=CustomParts(lindblads_extra=(tiny,))))
+        generator = build_liouvillian(model)
+        assert np.array_equal(generator.mat[0], np.zeros(4))
+        assert not np.any(np.signbit(generator.mat[generator.mat == 0]))
+        # the shift keeps the channel's 2 (1e-16 + 4e-16) too, to rounding at 0.18
+        assert generator.shift - 2 * 0.3 ** 2 == pytest.approx(1e-15, rel=0.05)
 
     def test_stationary_state_exists(self):
         rng = np.random.default_rng(137)
@@ -295,6 +307,29 @@ class TestGeneratorInvariants:
                 scale = max(1.0, float(np.max(np.abs(direct))))
                 got = pauli_sum(mat @ pauli_coordinates(rho))
                 assert np.max(np.abs(got - direct)) < 1e-12 * scale
+
+
+def _csr_pt_residual(model):
+    """The PT residual as scipy.sparse CSR products, R'Q + QR'^T summed over .data.
+
+    A regression pin, not an oracle: it is the library's former formula and
+    shares build_liouvillian and the word products with the code under
+    test, so it pins the bits of the numpy rewrite, not its correctness.
+    """
+    generator = build_liouvillian(model)
+    shifted = generator.mat + generator.shift * np.eye(len(generator.mat))
+    codes = superoperator._basis_codes(model.n)
+    cols = np.arange(len(codes))
+    parity = sparse.csr_array(shifted.shape, dtype=complex)
+    for u, cu in model.u.terms.items():
+        for w, cw in model.w.terms.items():
+            perm, k = superoperator._word_products(codes, u, w)
+            q = cu * cw * superoperator._I_POWERS[k]
+            parity = parity + sparse.csr_array((q, (perm, cols)), shifted.shape)
+    matrix = sparse.csr_array(shifted)
+    defect = (matrix @ parity + parity @ matrix.T).data
+    return float(np.sqrt(np.sum(defect.real ** 2 + defect.imag ** 2))
+                 / max(1.0, np.sqrt(np.sum(np.square(shifted)))))
 
 
 def _z0_field_control(n):
@@ -405,6 +440,9 @@ class TestPauliBasis:
         models.append(build_model(replace(_condition_controls()[0], custom=CustomParts(
             u=PauliOperator(2, {"XX": 0.6, "ZY": 0.8j}),
             w=PauliOperator(2, {"II": 0.5, "YZ": -0.5, "XI": 0.2})))))
+        # a zero U, whose parity map and defect vanish
+        models.append(build_model(replace(_condition_controls()[0], custom=CustomParts(
+            u=PauliOperator(2, {})))))
         # the (i) control, a Z_0 field, on both families at n = 4 and on
         # family 1 at n = 5, whose defects have many nonzero entries
         models += [build_model(replace(spec, custom=CustomParts(
@@ -415,8 +453,11 @@ class TestPauliBasis:
         models.append(build_model(replace(random_example2_spec(rng, 4), custom=CustomParts(
             u=PauliOperator(4, {"YYYY": 0.6, "ZYIX": 0.8j}),
             w=PauliOperator(4, {"IIII": 0.5, "XXXX": -0.5, "XIIZ": 0.2})))))
+        models += [build_model(spec) for spec in mixed_corpus(0, 20, (1, 2, 3, 4, 5))]
         for model in models:
-            assert abs(pt_residual(model) - oracle_pt_residual(model)) < 1e-12
+            got = pt_residual(model)
+            assert abs(got - oracle_pt_residual(model)) < 1e-12
+            assert got == _csr_pt_residual(model)
 
     def test_non_hermitian_hamiltonian_is_rejected(self):
         h = PauliOperator(1, {"X": 0.5, "Z": 0.2j})
