@@ -16,12 +16,15 @@ is real for a Hermitian H.  Basis words are indexed in base 4 with the
 letter codes I, X, Y, Z = 0..3 (the ``sorted_terms`` order), first site
 most significant.
 
-Everything here is numpy: the PT residual's sparse product is formed from
-index arrays, so importing the package loads no part of scipy.
+The PT residual forms no 4^n matrix: rho -> c P_a rho P_b is the 2n-site
+Pauli word P_a (x) P_b^T (Havel, J. Math. Phys. 44, 534 (2003)), so maps
+compose as Pauli operators and a map's Frobenius norm is 2^n times the
+2-norm of its coefficients.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -93,43 +96,47 @@ def _word_products(codes: np.ndarray, left: str, right: str) -> tuple[np.ndarray
     return np.arange(len(codes)) ^ mask, k % 4
 
 
-def build_liouvillian(model: Model) -> SuperOp:
-    """Generator of d rho/dt = -i[H, rho] + sum_m (2 L rho L^dag - {L^dag L, rho}), with its shift.
+def _generator_terms(model: Model) -> tuple[list[tuple[str, str, complex]], float]:
+    """(left, right, coeff) of each map rho -> coeff left rho right of the generator, and its shift.
 
-    Its matrix is the real 4^n x 4^n R[c, a] = 2^-n Tr(P_c L(P_a)).  Each
-    term of H, each term pair of L_m (in 2 L_m rho L_m^dag) and each term
-    of the product L_m^dag L_m acts on all basis words at once.  The map
-    preserves Hermiticity, so only the real part of every contribution is
-    kept.  The shift is twice the summed real identity coefficients of the
-    L_m^dag L_m, i.e. Re Tr(sum_m {L_m, L_m^dag}) / 2^n.  Raises
-    ModelConfigError when H is not Hermitian, since R would then be complex.
+    The maps are each term of H, each term pair of L_m (in 2 L_m rho L_m^dag)
+    and each term of the product L_m^dag L_m.  The shift is twice the summed
+    real identity coefficients of the L_m^dag L_m, i.e. Re Tr(sum_m {L_m,
+    L_m^dag}) / 2^n.  Raises ModelConfigError when H is not Hermitian.
     """
     require_hermitian(model.hamiltonian, "hamiltonian")
-    n = model.n
-    codes = _basis_codes(n)
-    cols = np.arange(4 ** n)
-    ident = "I" * n
-    out = np.zeros((cols.size, cols.size))
-
-    def add(left: str, right: str, coeff: complex) -> None:
-        rows, k = _word_products(codes, left, right)
-        out[rows, cols] += (coeff * _I_POWERS[k]).real
-
+    ident = "I" * model.n
+    terms = []
     for word, h in model.hamiltonian.terms.items():
-        add(word, ident, -1j * h)
-        add(ident, word, 1j * h)
+        terms += [(word, ident, -1j * h), (ident, word, 1j * h)]
     shift = 0.0
     for lm in model.lindblads:
-        for s, ls in lm.terms.items():
-            for t, lt in lm.terms.items():
-                add(s, t, 2 * ls * lt.conjugate())
+        terms += [(s, t, 2 * ls * lt.conjugate())
+                  for s, ls in lm.terms.items() for t, lt in lm.terms.items()]
         # unpruned, so that each term cancels its 2 L_m rho L_m^dag partner
         # in the trace row, however small the channel
         ldl = product_terms(lm.dagger(), lm)
         shift += 2 * ldl.get(ident, 0j).real
         for word, coeff in ldl.items():
-            add(word, ident, -coeff)
-            add(ident, word, -coeff)
+            terms += [(word, ident, -coeff), (ident, word, -coeff)]
+    return terms, shift
+
+
+def build_liouvillian(model: Model) -> SuperOp:
+    """Generator of d rho/dt = -i[H, rho] + sum_m (2 L rho L^dag - {L^dag L, rho}), with its shift.
+
+    Its matrix is the real 4^n x 4^n R[c, a] = 2^-n Tr(P_c L(P_a)).  Each
+    of _generator_terms' maps acts on all basis words at once.  The map
+    preserves Hermiticity, so only the real part of every contribution is
+    kept.  Raises ModelConfigError when H is not Hermitian.
+    """
+    terms, shift = _generator_terms(model)
+    codes = _basis_codes(model.n)
+    cols = np.arange(len(codes))
+    out = np.zeros((cols.size, cols.size))
+    for left, right, coeff in terms:
+        rows, k = _word_products(codes, left, right)
+        out[rows, cols] += (coeff * _I_POWERS[k]).real
     return SuperOp(out, shift)
 
 
@@ -168,43 +175,36 @@ def symmetry_sectors(model: Model) -> list[np.ndarray]:
     return [np.flatnonzero(label == value) for value in np.unique(label)]
 
 
+def _superoperator(n: int, terms) -> PauliOperator:
+    """The maps rho -> c left rho right, summed, as 2n-site words left (x) right^T; Y^T = -Y."""
+    acc = {}
+    for left, right, coeff in terms:
+        acc[left + right] = acc.get(left + right, 0j) + (-coeff if right.count("Y") % 2 else coeff)
+    return PauliOperator._canonical(2 * n, acc)
+
+
+def _norm(coeffs) -> float:
+    # sums of products, which overflow to inf where ** and math.fsum raise
+    return math.sqrt(sum(c.real * c.real + c.imag * c.imag for c in coeffs))
+
+
 def pt_residual(model: Model) -> float:
     """Frobenius defect of the anti-symmetry relation L' P = -P L'^dag, normalized.
 
-    Uses build_liouvillian's shift, so the residual is defined for models
-    violating the channel-constant condition as well.  In the Pauli basis
-    L' is the real R' and P is Q = sum over term pairs (u, w) of phased
-    permutations Q_uw[perm(a), a] = q(a), perm(a) = a XOR u XOR w.  The
-    defect is the sparse product R'Q + QR'^T: each stored entry R'[r, a]
-    gives R'[r, a] q(perm(a)) at (r, perm(a)) and q(a) R'[r, a] at
-    (perm(a), r).  Entries that share a position are summed in that order,
-    and exact zeros are dropped, as a sparse product stores none: numpy's
-    pairwise sum rounds by position, so a kept zero could move the last digit.
+    ||L'P + P L'^dag||_F / max(1, ||L'||_F) in the Pauli algebra of 2n sites
+    (module docstring), at a cost independent of 2^n.  L' is the generator
+    plus its shift times the identity, defined for models violating the
+    channel-constant condition too; P is rho -> U rho W.  The defect's two
+    products are unpruned.
     """
-    generator = build_liouvillian(model)
-    shifted = generator.mat
-    shifted[np.diag_indices_from(shifted)] += generator.shift
-    codes = _basis_codes(model.n)
-    size = len(codes)
-    # row-major positions of the stored entries; a boolean mask finds them
-    # several times faster than np.nonzero on the float matrix
-    flat = np.flatnonzero(shifted.ravel() != 0)
-    (rows, cols), vals = np.divmod(flat, size), shifted.ravel()[flat]
-    # the empty arrays stand for a zero U or W, whose defect is zero
-    keys, entries = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
-    for u, cu in model.u.terms.items():
-        for w, cw in model.w.terms.items():
-            perm, k = _word_products(codes, u, w)
-            q = cu * cw * _I_POWERS[k]
-            moved = perm[cols]
-            keys += [rows * size + moved, moved * size + rows]
-            entries += [vals * q[moved], q[cols] * vals]
-    keys, slot = np.unique(np.concatenate(keys), return_inverse=True)
-    entries = np.concatenate(entries)
-    re = np.bincount(slot, entries.real, len(keys))
-    im = np.bincount(slot, entries.imag, len(keys))
-    stored = (re != 0) | (im != 0)
-    # numpy sums rather than BLAS products, whose rounding depends on the
-    # BLAS thread count; squared in place, as shifted is not used again
-    return float(np.sqrt(np.sum(re[stored] ** 2 + im[stored] ** 2))
-                 / max(1.0, np.sqrt(np.sum(np.square(shifted, out=shifted)))))
+    terms, shift = _generator_terms(model)
+    ident = "I" * model.n
+    shifted = _superoperator(model.n, [*terms, (ident, ident, shift)])
+    parity = _superoperator(model.n, [(u, w, cu * cw) for u, cu in model.u.terms.items()
+                                      for w, cw in model.w.terms.items()])
+    defect = product_terms(shifted, parity)
+    for word, coeff in product_terms(parity, shifted.dagger()).items():
+        defect[word] = defect.get(word, 0j) + coeff
+    # 2^n a / max(1, 2^n b), exactly; 2^-n is 0 past n = 1074, where an L' of 0 needs the 1.0
+    denominator = max(math.ldexp(1.0, -model.n), _norm(shifted.terms.values())) or 1.0
+    return _norm(defect.values()) / denominator

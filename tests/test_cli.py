@@ -38,6 +38,14 @@ OVERFLOWING_RATE = {
     "noise": {"type": "dephasing", "gammas": [1e200]},
 }
 
+# Finite throughout, and so is every coefficient of L': 2e160 at most.  The
+# squares in the PT residual's norms overflow, to inf rather than an error.
+HUGE_RATE = {
+    "n": 2,
+    "hamiltonian": {"fields_x": [0.5, 0.2]},
+    "noise": {"type": "dephasing", "gammas": [1e80, 0.5]},
+}
+
 # A non-Hermitian H: the generator would not be a Lindblad generator.
 NON_HERMITIAN_H = {
     "n": 1,
@@ -80,6 +88,31 @@ class TestCheck:
         parsed = json.loads(out)
         assert parsed["cond_i"] is False
         assert parsed["pt_residual"] > 1e-3
+
+    def test_sixteen_qubits(self, tmp_path, capsys):
+        # the PT residual is symbolic: only the size guard limits check
+        rng = np.random.default_rng(16)
+        couplings = [dict(i=i, j=j, jx=jx, jy=jy, jz=jz) for i in range(16) for j in range(i + 1, 16)
+                     for jx, jy, jz in [rng.uniform(-1, 1, 3).tolist()]]
+        path = write_model(tmp_path, {
+            "n": 16,
+            "hamiltonian": {"couplings": couplings},
+            "noise": {"type": "injection", "a": rng.uniform(0, 1, 16).tolist(),
+                      "b": rng.uniform(0, 1, 16).tolist()},
+        })
+        code, out, err = run_cli(capsys, "check", "--max-n", "16", "--model", path)
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["pt_residual"] < 1e-10
+
+    # a numpy RuntimeWarning would print lines on stderr
+    @pytest.mark.filterwarnings("error")
+    def test_huge_finite_rate_fails_without_error(self, tmp_path, capsys):
+        path = write_model(tmp_path, HUGE_RATE)
+        code, out, err = run_cli(capsys, "check", "--model", path)
+        assert code == 1
+        assert err == ""
+        assert json.loads(out)["overall"] is False
 
     def test_missing_file(self, tmp_path, capsys):
         code, out, err = run_cli(capsys, "check", "--model", str(tmp_path / "nope.json"))

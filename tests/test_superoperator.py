@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from ptliouville import (
     CustomParts,
@@ -246,6 +245,9 @@ class TestPTResidual:
         model = build_model(ModelSpec(n=2, couplings=((0, 1, 0.7, 0.2, -0.4),),
                                       fields=(0.1, 0.9), noise=Dephasing((0.0, 0.0))))
         assert pt_residual(model) < 1e-14
+        # no H either: L' = 0, also past n = 1074, where 2^-n underflows to 0
+        empty = build_model(ModelSpec(n=1100, noise=Dephasing((0.0,) * 1100)))
+        assert pt_residual(empty) == 0.0
 
     def test_each_single_condition_violation_breaks_pt(self):
         """One engineered violation per certification condition, all with residual > 1e-3."""
@@ -256,6 +258,19 @@ class TestPTResidual:
             others = {"cond_i", "cond_ii", "cond_iii"} - {broken}
             assert all(getattr(report, name).passed for name in others), broken
             assert pt_residual(model) > 1e-3, broken
+
+    def test_sixteen_qubits_without_dense_matrices(self, monkeypatch):
+        # a 4^16 x 4^16 matrix would take 32 GiB; the residual forms none
+        def forbidden(*args):
+            raise AssertionError("dense assembly")
+
+        monkeypatch.setattr(superoperator, "build_liouvillian", forbidden)
+        monkeypatch.setattr(superoperator, "_basis_codes", forbidden)
+        rng = np.random.default_rng(239)
+        for spec in (random_example1_spec(rng, 16), random_example2_spec(rng, 16)):
+            assert pt_residual(build_model(spec)) < 1e-10
+            field = CustomParts(h_extra=PauliOperator.single("Z", 0, 16, 0.5))
+            assert pt_residual(build_model(replace(spec, custom=field))) > 1e-3
 
     def test_identity_component_shift_matches_constants(self):
         rng = np.random.default_rng(127)
@@ -307,29 +322,6 @@ class TestGeneratorInvariants:
                 scale = max(1.0, float(np.max(np.abs(direct))))
                 got = pauli_sum(mat @ pauli_coordinates(rho))
                 assert np.max(np.abs(got - direct)) < 1e-12 * scale
-
-
-def _csr_pt_residual(model):
-    """The PT residual as scipy.sparse CSR products, R'Q + QR'^T summed over .data.
-
-    A regression pin, not an oracle: it is the library's former formula and
-    shares build_liouvillian and the word products with the code under
-    test, so it pins the bits of the numpy rewrite, not its correctness.
-    """
-    generator = build_liouvillian(model)
-    shifted = generator.mat + generator.shift * np.eye(len(generator.mat))
-    codes = superoperator._basis_codes(model.n)
-    cols = np.arange(len(codes))
-    parity = sparse.csr_array(shifted.shape, dtype=complex)
-    for u, cu in model.u.terms.items():
-        for w, cw in model.w.terms.items():
-            perm, k = superoperator._word_products(codes, u, w)
-            q = cu * cw * superoperator._I_POWERS[k]
-            parity = parity + sparse.csr_array((q, (perm, cols)), shifted.shape)
-    matrix = sparse.csr_array(shifted)
-    defect = (matrix @ parity + parity @ matrix.T).data
-    return float(np.sqrt(np.sum(defect.real ** 2 + defect.imag ** 2))
-                 / max(1.0, np.sqrt(np.sum(np.square(shifted)))))
 
 
 def _z0_field_control(n):
@@ -457,7 +449,6 @@ class TestPauliBasis:
         for model in models:
             got = pt_residual(model)
             assert abs(got - oracle_pt_residual(model)) < 1e-12
-            assert got == _csr_pt_residual(model)
 
     def test_non_hermitian_hamiltonian_is_rejected(self):
         h = PauliOperator(1, {"X": 0.5, "Z": 0.2j})
