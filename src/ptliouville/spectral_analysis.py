@@ -1,9 +1,8 @@
 """Non-Hermitian spectral consequences: pairing, transition scan, uniform rates, V matrix.
 
 All spectra are dense (complete eigenvalue sets are required), so the
-practical size limit is n <= 6.  Every generator spectrum is solved from
-the real Pauli-basis matrix of superoperator.build_liouvillian, one Z2
-symmetry sector (diagonal block) at a time.
+practical size limit is n <= 6.  Every generator spectrum is solved one Z2
+symmetry sector at a time, from the dense blocks of SuperOp.blocks.
 
 A scan keeps the sector blocks of the Hamiltonian part R_H and the channel
 part R_D, assembled once; at noise scale lambda the generator is
@@ -77,16 +76,6 @@ def _eigvals(mat) -> np.ndarray:
     if not np.all(np.isfinite(mat)):
         raise np.linalg.LinAlgError("superoperator matrix contains non-finite entries")
     return np.linalg.eigvals(mat)
-
-
-def _sector_blocks(mat: np.ndarray, sectors, shift: float = 0.0) -> list[np.ndarray]:
-    """Diagonal blocks of mat + shift * I, one per sector (copies)."""
-    blocks = []
-    for idx in sectors:
-        block = mat[np.ix_(idx, idx)]
-        block[np.diag_indices(idx.size)] += shift
-        blocks.append(block)
-    return blocks
 
 
 _SOLVE_LOCK = threading.Lock()
@@ -288,7 +277,7 @@ def liouvillian_spectra(model: Model) -> SpectrumResult:
     defined for violating models too.
     """
     generator = build_liouvillian(model)
-    blocks = _sector_blocks(generator.mat, symmetry_sectors(model))
+    blocks = generator.blocks(symmetry_sectors(model))
     shift = generator.shift
     eig_l = canonical_sort(_solve_blocks(blocks))
     for block in blocks:
@@ -339,15 +328,15 @@ def _axis_count(blocks: list[np.ndarray], n: int,
     Classification, the uniform rate and every scan probe count here, so
     UNBROKEN (at least N^2 - N eigenvalues on the axis, order-free since
     population and coherence sectors mix) holds exactly when a uniform rate
-    exists.  The threshold is tol_im times ||L'||_F (basis-independent; the
-    blocks hold every nonzero entry), summed by numpy: a BLAS dot product
-    rounds differently with the thread count.
+    exists.  On the axis means |Re| <= tol_im ||L'||_F (basis-independent,
+    and all of a zero L'), with the norm summed by numpy over the blocks: a
+    BLAS dot product rounds differently with the thread count.
     """
     if not (0 < tol_im < math.inf):
         raise ModelConfigError(f"tol_im must be finite and > 0, got {tol_im!r}")
     eigs = _solve_blocks(blocks)
     threshold = tol_im * float(np.sqrt(np.sum([np.sum(b * b) for b in blocks])))
-    on_axis = np.abs(eigs.real) < threshold
+    on_axis = np.abs(eigs.real) <= threshold
     dim = 2 ** n
     return eigs, on_axis, UNBROKEN if np.sum(on_axis) >= dim * dim - dim else BROKEN
 
@@ -363,7 +352,7 @@ def _imaginary_axis_count(model: Model, tol_im: float) -> tuple[np.ndarray, np.n
             "channel constants are unavailable: some {L_m, L_m^dag} is not an identity multiple"
         )
     generator = build_liouvillian(model)
-    blocks = _sector_blocks(generator.mat, symmetry_sectors(model), generator.shift)
+    blocks = generator.blocks(symmetry_sectors(model), generator.shift)
     return (*_axis_count(blocks, model.n, tol_im), generator.shift)
 
 
@@ -571,10 +560,9 @@ def scan_pt_breaking(
         raise UncertifiedModelError("base model fails symmetry certification; scan is undefined")
 
     sectors = symmetry_sectors(base)
-    h_blocks = _sector_blocks(build_liouvillian(replace(base, lindblads=())).mat, sectors)
-    no_h = replace(base, hamiltonian=PauliOperator.zero(base.n))
-    d_part = build_liouvillian(no_h)
-    d_blocks = _sector_blocks(d_part.mat, sectors, d_part.shift)
+    h_blocks = build_liouvillian(replace(base, lindblads=())).blocks(sectors)
+    d_part = build_liouvillian(replace(base, hamiltonian=PauliOperator.zero(base.n)))
+    d_blocks = d_part.blocks(sectors, d_part.shift)
     bounds = np.cumsum([idx.size for idx in sectors])[:-1]
     need = 4 ** base.n - 2 ** base.n
     probes: list[ScanProbe] = []
@@ -692,7 +680,7 @@ def match_bohr_frequencies(
     energies = np.asarray(basis.energies, dtype=float)
     count = energies.size
     level_pairs = [(j, k) for j in range(count) for k in range(count) if j != k]
-    eigs = _solve_blocks(_sector_blocks(build_liouvillian(model).mat, symmetry_sectors(model)))
+    eigs = _solve_blocks(build_liouvillian(model).blocks(symmetry_sectors(model)))
     bohr = np.array([energies[k] - energies[j] for j, k in level_pairs])
     cost = np.abs(eigs.imag[:, None] - bohr[None, :])
     rows, cols = linear_sum_assignment(cost)

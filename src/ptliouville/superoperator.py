@@ -6,7 +6,7 @@ The generator uses the doubled dissipator
 
 so that the shifted generator is exactly L + (sum_m c_m) Id when every
 channel satisfies {L_m, L_m^dag} = c_m * identity.  build_liouvillian
-returns the generator together with that shift.
+returns the generator's maps rho -> c P_a rho P_b together with that shift.
 
 Every spectrum is solved in the normalised Pauli-string basis, where
 
@@ -14,12 +14,12 @@ Every spectrum is solved in the normalised Pauli-string basis, where
 
 is real for a Hermitian H.  Basis words are indexed in base 4 with the
 letter codes I, X, Y, Z = 0..3 (the ``sorted_terms`` order), first site
-most significant.
-
-The PT residual forms no 4^n matrix: rho -> c P_a rho P_b is the 2n-site
-Pauli word P_a (x) P_b^T (Havel, J. Math. Phys. 44, 534 (2003)), so maps
-compose as Pauli operators and a map's Frobenius norm is 2^n times the
-2-norm of its coefficients.
+most significant.  A map sends each basis word to one phased basis word,
+so SuperOp.blocks makes each symmetry sector's dense block directly, and
+no 4^n x 4^n matrix is formed.  The PT residual forms none at all: the map
+is the 2n-site Pauli word P_a (x) P_b^T (Havel, J. Math. Phys. 44, 534
+(2003)), so maps compose as Pauli operators and a map's Frobenius norm is
+2^n times the 2-norm of its coefficients.
 """
 
 from __future__ import annotations
@@ -53,15 +53,41 @@ _PHASE_EXP = np.array(
 
 @dataclass(frozen=True, eq=False)
 class SuperOp:
-    """Dense 4^n x 4^n generator matrix in the normalised Pauli-string basis, and its shift.
+    """A generator of n qubits as the (left, right, coeff) of its maps rho -> coeff left rho right.
 
     ``shift`` is the identity component of sum_m {L_m, L_m^dag}: sum_m c_m
     whenever every anticommutator is an identity multiple (condition (iii)),
-    but defined for violating models too, whose PT residual needs it.
+    but defined for violating models too.
     """
 
-    mat: np.ndarray
+    n: int
+    terms: list[tuple[str, str, complex]]
     shift: float
+
+    def blocks(self, sectors, shift: float = 0.0) -> list[np.ndarray]:
+        """Dense diagonal blocks of R + shift * I, one per array of basis-word indices.
+
+        Each map acts on a sector's words at once; an entry sums the real parts
+        (the maps preserve Hermiticity) of its contributions in term order.  A
+        map that takes a word out of its sector raises IndexError.
+        """
+        out = []
+        for idx in sectors:
+            local, cols = np.full(4 ** self.n, idx.size), np.arange(idx.size)
+            local[idx] = cols
+            codes = _basis_codes(idx, self.n)
+            block = np.zeros((idx.size, idx.size))
+            for left, right, coeff in self.terms:
+                mask, k = _word_products(codes, left, right)
+                block[local[idx ^ mask], cols] += (coeff * _I_POWERS[k]).real
+            block[np.diag_indices(idx.size)] += shift
+            out.append(block)
+        return out
+
+    @property
+    def mat(self) -> np.ndarray:
+        """The whole 4^n x 4^n R, built on each access as the blocks of one sector."""
+        return self.blocks([np.arange(4 ** self.n)])[0]
 
 
 def pauli_to_dense(op: PauliOperator) -> np.ndarray:
@@ -78,22 +104,17 @@ def pauli_to_dense(op: PauliOperator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _codes(word: str) -> np.ndarray:
-    return np.array([PAULI_LETTERS.index(ch) for ch in word])
-
-
-def _basis_codes(n: int) -> np.ndarray:
-    """Letter codes of all 4^n basis words, one row per word."""
+def _basis_codes(words: np.ndarray, n: int) -> np.ndarray:
+    """Letter codes of the n-site basis words with indices words, one row per word."""
     shifts = 2 * np.arange(n - 1, -1, -1)
-    return (np.arange(4 ** n)[:, None] >> shifts) & 3
+    return (words[:, None] >> shifts) & 3
 
 
-def _word_products(codes: np.ndarray, left: str, right: str) -> tuple[np.ndarray, np.ndarray]:
-    """Index c and power k with left P_a right = i^k P_c, for every basis word a."""
-    lc, rc = _codes(left), _codes(right)
+def _word_products(codes: np.ndarray, left: str, right: str) -> tuple[int, np.ndarray]:
+    """Mask m and power k with left P_a right = i^k P_(a XOR m), for each word a of codes' rows."""
+    lc, rc = (np.array([PAULI_LETTERS.index(ch) for ch in word]) for word in (left, right))
     k = _PHASE_EXP[lc, codes].sum(axis=1) + _PHASE_EXP[codes ^ lc, rc].sum(axis=1)
-    mask = (lc ^ rc) @ (4 ** np.arange(len(lc) - 1, -1, -1))
-    return np.arange(len(codes)) ^ mask, k % 4
+    return (lc ^ rc) @ (4 ** np.arange(len(lc) - 1, -1, -1)), k % 4
 
 
 def _generator_terms(model: Model) -> tuple[list[tuple[str, str, complex]], float]:
@@ -125,19 +146,9 @@ def _generator_terms(model: Model) -> tuple[list[tuple[str, str, complex]], floa
 def build_liouvillian(model: Model) -> SuperOp:
     """Generator of d rho/dt = -i[H, rho] + sum_m (2 L rho L^dag - {L^dag L, rho}), with its shift.
 
-    Its matrix is the real 4^n x 4^n R[c, a] = 2^-n Tr(P_c L(P_a)).  Each
-    of _generator_terms' maps acts on all basis words at once.  The map
-    preserves Hermiticity, so only the real part of every contribution is
-    kept.  Raises ModelConfigError when H is not Hermitian.
+    Raises ModelConfigError when H is not Hermitian.
     """
-    terms, shift = _generator_terms(model)
-    codes = _basis_codes(model.n)
-    cols = np.arange(len(codes))
-    out = np.zeros((cols.size, cols.size))
-    for left, right, coeff in terms:
-        rows, k = _word_products(codes, left, right)
-        out[rows, cols] += (coeff * _I_POWERS[k]).real
-    return SuperOp(out, shift)
+    return SuperOp(model.n, *_generator_terms(model))
 
 
 def _anticommutes(a: str, b: str) -> bool:
@@ -162,12 +173,12 @@ def z2_symmetry_strings(model: Model) -> tuple[str, ...]:
 
 
 def symmetry_sectors(model: Model) -> list[np.ndarray]:
-    """Basis-word indices of each diagonal block of build_liouvillian's matrix.
+    """Basis-word indices of each diagonal block of build_liouvillian's generator.
 
     A word's sector label is its commutation bits with the strings of
     z2_symmetry_strings; with no such string there is one block.
     """
-    codes = _basis_codes(model.n)
+    codes = _basis_codes(np.arange(4 ** model.n), model.n)
     label = np.zeros(len(codes), dtype=int)
     for bit, s in enumerate(z2_symmetry_strings(model)):
         _, k = _word_products(codes, s, "I" * model.n)

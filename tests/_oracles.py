@@ -110,13 +110,15 @@ def apply_generator(model, rho) -> np.ndarray:
 
 
 def _matrix_of(action, dim):
-    """Applies action to every matrix unit E_ab and stacks the column-vectorized results."""
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for col in range(dim * dim):
-        unit = np.zeros((dim, dim), dtype=complex)
-        unit[col % dim, col // dim] = 1.0  # column-stacked basis matrix
-        out[:, col] = action(unit).ravel(order="F")
-    return out
+    """Applies action to all matrix units E_ab at once and stacks the column-vectorized results.
+
+    The actions are matrix products, which broadcast over the stack of units.
+    """
+    cols = np.arange(dim * dim)
+    units = np.zeros((dim * dim, dim, dim), dtype=complex)
+    units[cols, cols % dim, cols // dim] = 1.0  # column-stacked basis matrices
+    # image k, column-stacked, is column k: entry (r, c) of it is row r + c * dim
+    return action(units).transpose(0, 2, 1).reshape(dim * dim, dim * dim).T
 
 
 def generator_matrix(h_mat, lindblad_mats):

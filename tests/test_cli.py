@@ -264,6 +264,18 @@ class TestScan:
         lo, hi = tail["bracket"]
         assert hi - lo < 1e-6
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_zero_generator_rows_are_unbroken(self, tmp_path, capsys, n):
+        # no couplings and zero rates: L' = 0, whose 4^n eigenvalues all lie on the axis
+        path = write_model(tmp_path, {"n": n, "noise": {"type": "dephasing", "gammas": [0.0] * n}})
+        code, out, _ = run_cli(capsys, "check", "--model", path)
+        assert code == 0
+        code, out, err = run_cli(capsys, "scan", "--model", path)
+        assert (code, err) == (0, "")
+        lines = out.strip().splitlines()
+        assert [row.split(",")[1:] for row in lines[1:-1]] == [[str(4 ** n), "UNBROKEN"]] * 2
+        assert json.loads(lines[-1])["gamma_pt"] is None
+
     def test_no_transition_is_null(self, tmp_path, capsys):
         path = write_model(tmp_path, SINGLE_QUBIT)
         code, out, _ = run_cli(

@@ -22,10 +22,13 @@ from ptliouville import (
     ModelConfigError,
     ModelSpec,
     PauliOperator,
+    PhaseClassification,
+    SuperOp,
     UncertifiedModelError,
     build_liouvillian,
     build_model,
     canonical_sort,
+    check_lemma,
     check_nondegeneracy,
     check_pt_pairing,
     check_uniform_rate,
@@ -312,13 +315,29 @@ class TestSpectra:
         result = liouvillian_spectra(build_model(spec))
         assert result.shift == pytest.approx(sum(analytic_constants(spec)))
 
+    def test_no_analysis_forms_the_whole_generator(self, monkeypatch):
+        # every analysis solves sector blocks; none reads the 4^n x 4^n view
+        def forbidden(self):
+            raise AssertionError("whole generator matrix")
+
+        spec = single_qubit_spec(1.0, 0.5)
+        model = build_model(spec)
+        want = liouvillian_spectra(model)
+        monkeypatch.setattr(SuperOp, "mat", property(forbidden))
+        assert _same_bits(liouvillian_spectra(model), [want.eig_liouvillian, want.eig_shifted])
+        assert classify_pt_phase(model).classification == UNBROKEN
+        assert check_uniform_rate(model).passed
+        # the channel 0.5 Z times lambda meets g^2 = h at lambda = 2
+        assert scan_pt_breaking(spec, 0.1, 4.0, resolution=1e-3).gamma_pt == pytest.approx(
+            2 * bloch_transition_scale(1.0), abs=1e-3)
+        assert match_bohr_frequencies(model, hamiltonian_eigenbasis(model)).residual_max < 0.1
+
 
 def _sequential_spectra(model):
     """Both sorted spectra from plain per-block eigvals calls, one after another."""
     generator, sectors = build_liouvillian(model), symmetry_sectors(model)
-    blocks = spectral_analysis._sector_blocks
     return [canonical_sort(np.concatenate(
-        [np.linalg.eigvals(b) for b in blocks(generator.mat, sectors, shift)]))
+        [np.linalg.eigvals(b) for b in generator.blocks(sectors, shift)]))
         for shift in (0.0, generator.shift)]
 
 
@@ -703,6 +722,19 @@ class TestUniformRate:
         report = check_uniform_rate(model)
         assert report.passed
         assert report.rate == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_zero_generator_is_unbroken(self, n):
+        # L' = 0 has an axis threshold of 0, and every eigenvalue is exactly 0
+        spec = ModelSpec(n=n, noise=Dephasing((0.0,) * n))
+        model = build_model(spec)
+        assert check_lemma(model).overall
+        assert classify_pt_phase(model) == PhaseClassification(4 ** n, UNBROKEN)
+        report = check_uniform_rate(model)
+        assert report.passed and report.rate == 0.0 and report.max_deviation == 0.0
+        scan = scan_pt_breaking(spec, 0.1, 2.0)
+        assert [(p.n_imag_axis, p.classification) for p in scan.probes] == [(4 ** n, UNBROKEN)] * 2
+        assert scan.gamma_pt is None
 
     def test_broken_phase_rejected(self):
         model = build_model(single_qubit_spec(1.0, 1.5))

@@ -265,7 +265,7 @@ class TestPTResidual:
             raise AssertionError("dense assembly")
 
         monkeypatch.setattr(superoperator, "build_liouvillian", forbidden)
-        monkeypatch.setattr(superoperator, "_basis_codes", forbidden)
+        monkeypatch.setattr(superoperator.SuperOp, "blocks", forbidden)
         rng = np.random.default_rng(239)
         for spec in (random_example1_spec(rng, 16), random_example2_spec(rng, 16)):
             assert pt_residual(build_model(spec)) < 1e-10
@@ -389,8 +389,12 @@ class TestPauliBasis:
     def test_generator_is_block_diagonal_over_sectors(self):
         for spec, strings in _sector_cases():
             model = build_model(spec)
-            mat = build_liouvillian(model).mat
-            sectors = symmetry_sectors(model)
+            generator, sectors = build_liouvillian(model), symmetry_sectors(model)
+            mat = generator.mat
+            # each sector's block, assembled alone, is bitwise the whole matrix's
+            for idx, block in zip(sectors, generator.blocks(sectors, 0.25), strict=True):
+                want = mat[np.ix_(idx, idx)] + 0.25 * np.eye(idx.size)
+                assert block.tobytes() == want.tobytes()
             assert len(sectors) == (1, 2, 4, 4)[len(strings)]
             assert sorted(np.concatenate(sectors).tolist()) == list(range(4 ** model.n))
             assert len({idx.size for idx in sectors}) == 1  # equal blocks
@@ -398,6 +402,17 @@ class TestPauliBasis:
             for idx in sectors:
                 inside[np.ix_(idx, idx)] = True
             assert not np.any(mat[~inside])
+
+    def test_map_leaving_a_sector_raises(self):
+        # X conjugation splits {I, X} from {Y, Z}; the X field maps Y and Z
+        # into each other, so sectors that part them are left by a map
+        model = build_model(ModelSpec(n=1, fields=(0.5,), noise=Dephasing((0.3,))))
+        generator = build_liouvillian(model)
+        assert [idx.tolist() for idx in symmetry_sectors(model)] == [[0, 1], [2, 3]]
+        with pytest.raises(IndexError):
+            generator.blocks([np.array([0, 3]), np.array([1, 2])])
+        with pytest.raises(IndexError):
+            generator.blocks([np.array([0, 1, 3])])
 
     def test_sector_spectra_match_dense_oracle(self):
         for spec, _ in _sector_cases():
