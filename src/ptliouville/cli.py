@@ -100,9 +100,7 @@ def _load_spec(args) -> ModelSpec:
     spec = parse_model_config(text)
     if spec.n > args.max_n:
         raise ModelConfigError(
-            f"n={spec.n} exceeds the size guard {args.max_n} "
-            f"(dense cost grows as 16^n; raise with --max-n)"
-        )
+            f"n={spec.n} exceeds the size guard {args.max_n} (raise with --max-n)")
     return spec
 
 

@@ -330,13 +330,18 @@ def _axis_count(blocks: list[np.ndarray], n: int,
     population and coherence sectors mix) holds exactly when a uniform rate
     exists.  On the axis means |Re| <= tol_im ||L'||_F (basis-independent,
     and all of a zero L'), with the norm summed by numpy over the blocks: a
-    BLAS dot product rounds differently with the thread count.
+    BLAS dot product rounds differently with the thread count.  A norm that
+    overflows raises ModelConfigError: its inf threshold would put every
+    eigenvalue on the axis.
     """
     if not (0 < tol_im < math.inf):
         raise ModelConfigError(f"tol_im must be finite and > 0, got {tol_im!r}")
     eigs = _solve_blocks(blocks)
-    threshold = tol_im * float(np.sqrt(np.sum([np.sum(b * b) for b in blocks])))
-    on_axis = np.abs(eigs.real) <= threshold
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(np.sum([np.sum(b * b) for b in blocks])))
+    if not math.isfinite(norm):
+        raise ModelConfigError("the shifted generator has a non-finite Frobenius norm")
+    on_axis = np.abs(eigs.real) <= tol_im * norm
     dim = 2 ** n
     return eigs, on_axis, UNBROKEN if np.sum(on_axis) >= dim * dim - dim else BROKEN
 

@@ -14,9 +14,11 @@ Every spectrum is solved in the normalised Pauli-string basis, where
 
 is real for a Hermitian H.  Basis words are indexed in base 4 with the
 letter codes I, X, Y, Z = 0..3 (the ``sorted_terms`` order), first site
-most significant.  A map sends each basis word to one phased basis word,
-so SuperOp.blocks makes each symmetry sector's dense block directly, and
-no 4^n x 4^n matrix is formed.  The PT residual forms none at all: the map
+most significant.  A map sends word a to the word a XOR m, for one mask m,
+times a phase that is the product of its sites' single-letter phases, so
+the phases over all words are a Kronecker product of per-site rows.
+SuperOp.blocks thus makes each symmetry sector's dense block directly,
+and no 4^n x 4^n matrix is formed.  The PT residual forms none at all: the map
 is the 2n-site Pauli word P_a (x) P_b^T (Havel, J. Math. Phys. 44, 534
 (2003)), so maps compose as Pauli operators and a map's Frobenius norm is
 2^n times the 2-norm of its coefficients.
@@ -40,15 +42,11 @@ _SITE = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-# Single-site products in letter codes: the letter of a*b is the XOR of the
-# two codes, and _PHASE_EXP[a, b] is the k with a*b = i^k (a XOR b).  An odd
-# k marks anticommuting letters, so a word's summed k is odd exactly when
-# the two words anticommute.
-_I_POWERS = np.array([1, 1j, -1, -1j])
-_PHASE_EXP = np.array(
-    [[{1: 0, 1j: 1, -1: 2, -1j: 3}[string_mul(a, b)[0]] for b in PAULI_LETTERS]
-     for a in PAULI_LETTERS]
-)
+# _PHASE[l, a, r] is the phase of the single-letter product l a r, in the
+# letter codes, whose letter is l ^ a ^ r.
+_PHASE = np.array([[[p * string_mul(la, r)[0] for r in PAULI_LETTERS]
+                    for p, la in (string_mul(l, a) for a in PAULI_LETTERS)]
+                   for l in PAULI_LETTERS])
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,22 +65,24 @@ class SuperOp:
     def blocks(self, sectors, shift: float = 0.0) -> list[np.ndarray]:
         """Dense diagonal blocks of R + shift * I, one per array of basis-word indices.
 
-        Each map acts on a sector's words at once; an entry sums the real parts
-        (the maps preserve Hermiticity) of its contributions in term order.  A
-        map that takes a word out of its sector raises IndexError.
+        Each map's phases over all words are formed once and scattered into
+        every block; an entry sums the real parts (the maps preserve
+        Hermiticity) of its contributions in term order.  A map that takes a
+        word out of its sector raises IndexError.
         """
-        out = []
+        parts = []
         for idx in sectors:
             local, cols = np.full(4 ** self.n, idx.size), np.arange(idx.size)
             local[idx] = cols
-            codes = _basis_codes(idx, self.n)
-            block = np.zeros((idx.size, idx.size))
-            for left, right, coeff in self.terms:
-                mask, k = _word_products(codes, left, right)
-                block[local[idx ^ mask], cols] += (coeff * _I_POWERS[k]).real
-            block[np.diag_indices(idx.size)] += shift
-            out.append(block)
-        return out
+            parts.append((idx, local, cols, np.zeros((idx.size, idx.size))))
+        for left, right, coeff in self.terms:
+            mask, phases = _map_action(left, right)
+            values = (coeff * phases).real
+            for idx, local, cols, block in parts:
+                block[local[idx ^ mask], cols] += values[idx]
+        for *_, block in parts:
+            block[np.diag_indices(block.shape[0])] += shift
+        return [block for *_, block in parts]
 
     @property
     def mat(self) -> np.ndarray:
@@ -104,17 +104,12 @@ def pauli_to_dense(op: PauliOperator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _basis_codes(words: np.ndarray, n: int) -> np.ndarray:
-    """Letter codes of the n-site basis words with indices words, one row per word."""
-    shifts = 2 * np.arange(n - 1, -1, -1)
-    return (words[:, None] >> shifts) & 3
-
-
-def _word_products(codes: np.ndarray, left: str, right: str) -> tuple[int, np.ndarray]:
-    """Mask m and power k with left P_a right = i^k P_(a XOR m), for each word a of codes' rows."""
-    lc, rc = (np.array([PAULI_LETTERS.index(ch) for ch in word]) for word in (left, right))
-    k = _PHASE_EXP[lc, codes].sum(axis=1) + _PHASE_EXP[codes ^ lc, rc].sum(axis=1)
-    return (lc ^ rc) @ (4 ** np.arange(len(lc) - 1, -1, -1)), k % 4
+def _map_action(left: str, right: str) -> tuple[int, np.ndarray]:
+    """Mask m and phases f with left P_a right = f[a] P_(a XOR m), over all 4^n basis words a."""
+    sites = [(PAULI_LETTERS.index(l), PAULI_LETTERS.index(r))
+             for l, r in zip(left, right, strict=True)]
+    mask = int("".join(str(l ^ r) for l, r in sites), 4)
+    return mask, reduce(np.multiply.outer, [_PHASE[l, :, r] for l, r in sites]).ravel()
 
 
 def _generator_terms(model: Model) -> tuple[list[tuple[str, str, complex]], float]:
@@ -178,11 +173,10 @@ def symmetry_sectors(model: Model) -> list[np.ndarray]:
     A word's sector label is its commutation bits with the strings of
     z2_symmetry_strings; with no such string there is one block.
     """
-    codes = _basis_codes(np.arange(4 ** model.n), model.n)
-    label = np.zeros(len(codes), dtype=int)
+    label = np.zeros(4 ** model.n, dtype=int)
     for bit, s in enumerate(z2_symmetry_strings(model)):
-        _, k = _word_products(codes, s, "I" * model.n)
-        label |= (k & 1) << bit  # odd k: the word anticommutes with s
+        _, phases = _map_action(s, "I" * model.n)
+        label |= (phases.imag != 0) << bit  # an imaginary phase: the word anticommutes with s
     return [np.flatnonzero(label == value) for value in np.unique(label)]
 
 

@@ -296,11 +296,14 @@ class TestScan:
             (("--lambda-max", "nan"), "lambda_max < inf"),
             # finite bound, but lambda^2 overflows: the non-finite generator guard
             (("--lambda-max", "1e200"), "non-finite"),
+            # a finite generator whose squared entries overflow: the norm guard, as an
+            # inf axis threshold would put every eigenvalue on the axis
+            (("--lambda-max", "1e80"), "non-finite"),
             # an infinite resolution would report the whole range as the bracket
             (("--resolution", "inf"), "resolution"),
         ],
         ids=["tol-im-nan", "tol-im-negative", "tol-im-inf", "lambda-max-inf", "lambda-max-nan",
-             "lambda-max-overflow", "resolution-inf"],
+             "lambda-max-overflow", "lambda-max-norm-overflow", "resolution-inf"],
     )
     @pytest.mark.filterwarnings("error")
     def test_bad_scan_parameter_is_input_error(self, tmp_path, capsys, argv, where):

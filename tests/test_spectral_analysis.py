@@ -478,6 +478,16 @@ class TestScan:
         assert classify_pt_phase(scale_noise(model, 0.05)).classification == UNBROKEN
         assert classify_pt_phase(scale_noise(model, 2.0)).classification == BROKEN
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_norm_is_input_error(self):
+        # at noise scale 1e100 the entries are finite but their squares are
+        # not; an inf axis threshold would read UNBROKEN with 16 of 16
+        model = build_model(ModelSpec(n=2, couplings=((0, 1, 1.0, 0.9, 0.4),), fields=(0.3, 0.7),
+                                      noise=Dephasing((0.2, 0.4))))
+        assert classify_pt_phase(scale_noise(model, 2.0)) == PhaseClassification(10, BROKEN)
+        with pytest.raises(ModelConfigError, match="non-finite Frobenius norm"):
+            classify_pt_phase(scale_noise(model, 1e100))
+
     def test_classification_switches_once(self):
         model = build_model(single_qubit_spec(1.0, 1.0))
         labels = [

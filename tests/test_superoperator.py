@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -385,6 +386,26 @@ class TestPauliBasis:
             a, b = ("".join(rng.choice(list("IXYZ"), n)) for _ in range(2))
             phase, _ = reference_string_mul(a, b)
             assert superoperator._anticommutes(a, b) == (phase.imag != 0), (a, b)
+
+    def test_map_action_matches_string_product(self):
+        # left P_a right = phases[a] P_(a ^ mask) for every basis word a, by the
+        # oracle's site-by-site products; n = 1 covers every single-letter triple
+        rng = np.random.default_rng(271)
+        cases = [(left, right) for left in "IXYZ" for right in "IXYZ"]
+        cases += [tuple("".join(rng.choice(list("IXYZ"), n)) for _ in range(2))
+                  for n in (1, 2, 3) for _ in range(12)]
+        for left, right in cases:
+            words = ["".join(w) for w in itertools.product("IXYZ", repeat=len(left))]
+            mask, phases = superoperator._map_action(left, right)
+            assert phases.shape == (len(words),)
+            for a, word in enumerate(words):
+                p, middle = reference_string_mul(left, word)
+                q, image = reference_string_mul(middle, right)
+                assert (image, p * q) == (words[a ^ mask], phases[a]), (left, word, right)
+        with pytest.raises(ValueError):
+            superoperator._map_action("XY", "Z")
+        with pytest.raises(ValueError):
+            superoperator._map_action("X", "ZI")
 
     def test_generator_is_block_diagonal_over_sectors(self):
         for spec, strings in _sector_cases():
