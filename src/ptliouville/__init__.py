@@ -56,7 +56,6 @@ from .spectral_analysis import (
     TOL_DEG,
     TOL_IM,
     UNBROKEN,
-    BohrMatchResult,
     DegeneracyReport,
     EnergyEigenbasis,
     PairingReport,
@@ -73,7 +72,6 @@ from .spectral_analysis import (
     classify_pt_phase,
     hamiltonian_eigenbasis,
     liouvillian_spectra,
-    match_bohr_frequencies,
     scan_pt_breaking,
     v_matrix,
 )

@@ -27,9 +27,10 @@ from .pauli_algebra import PauliOperator, anticommutator, as_identity_multiple, 
 
 TOL_CERT = 1e-10
 
-# Relative singular-value threshold for declaring the adjoint channel set
-# linearly dependent (Gram matrix of the coefficient vectors).
-RANK_TOL = 1e-10
+# The adjoint channel set is linearly dependent when the smallest singular
+# value of its coefficient vectors is at most this fraction of the largest
+# (1e-10 on their Gram matrix, whose singular values are the squares).
+RANK_TOL = 1e-5
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,16 +160,15 @@ def solve_reflection_matrix(model: Model) -> ReflectionMatrix:
         set().union(*(op.terms.keys() for op in adjoints + targets_u + targets_w))
     )
     phi = _coefficient_matrix(adjoints, words)
-    gram = phi.conj().T @ phi
-    svals = np.linalg.svd(gram, compute_uv=False)
-    if svals[-1] < RANK_TOL * svals[0]:
+    rhs = np.vstack([_coefficient_matrix(targets_u, words), _coefficient_matrix(targets_w, words)])
+    # stacking [phi; phi] scales every singular value by sqrt(2), not their ratio
+    design = np.vstack([phi, phi])
+    solution, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=RANK_TOL)  # column m is z_m
+    if rank < m_count:
         raise LinearDependenceError(
             "adjoint channel operators are linearly dependent; Z is not unique"
         )
 
-    rhs = np.vstack([_coefficient_matrix(targets_u, words), _coefficient_matrix(targets_w, words)])
-    design = np.vstack([phi, phi])
-    solution, *_ = np.linalg.lstsq(design, rhs, rcond=None)  # column m is z_m
     residual_imag = float(np.max(np.abs(solution.imag)))
     z = solution.real.T  # Z[m, m'] multiplies L_m'^dag
 

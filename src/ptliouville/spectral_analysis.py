@@ -655,47 +655,8 @@ def check_uniform_rate(model: Model, tol_im: float = TOL_IM) -> UniformRateRepor
 
 
 # ---------------------------------------------------------------------------
-# Bohr-frequency matching and the V matrix
+# The V matrix
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BohrMatchResult:
-    """Assignment of coherence eigenvalues to ordered level pairs (j, k)."""
-
-    pairs: tuple[tuple[tuple[int, int], complex], ...]
-    residual_max: float
-    residual_total: float
-    mixing_ok: Optional[bool]
-
-
-def match_bohr_frequencies(
-    model: Model,
-    basis: EnergyEigenbasis,
-    threshold: Optional[float] = None,
-) -> BohrMatchResult:
-    """Injectively assign Liouvillian eigenvalues to Bohr frequencies E_k - E_j.
-
-    Minimizes the total |Im(eig) - (E_k - E_j)| over all injective
-    assignments (rectangular minimum-cost matching).  With a threshold, the
-    result flags residual_max above it as too much sector mixing.
-    """
-    from scipy.optimize import linear_sum_assignment  # slow to import, used only here
-
-    energies = np.asarray(basis.energies, dtype=float)
-    count = energies.size
-    level_pairs = [(j, k) for j in range(count) for k in range(count) if j != k]
-    eigs = _solve_blocks(build_liouvillian(model).blocks(symmetry_sectors(model)))
-    bohr = np.array([energies[k] - energies[j] for j, k in level_pairs])
-    cost = np.abs(eigs.imag[:, None] - bohr[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    assignment = sorted(zip(cols.tolist(), rows.tolist()))
-    pairs = tuple((level_pairs[c], complex(eigs[r])) for c, r in assignment)
-    residuals = np.array([cost[r, c] for c, r in assignment])
-    residual_max = float(residuals.max()) if residuals.size else 0.0
-    residual_total = float(residuals.sum())
-    mixing_ok = None if threshold is None else bool(residual_max <= threshold)
-    return BohrMatchResult(pairs, residual_max, residual_total, mixing_ok)
 
 
 @dataclass(frozen=True, eq=False)

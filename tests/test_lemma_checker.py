@@ -94,6 +94,17 @@ class TestReflectionMatrix:
         with pytest.raises(LinearDependenceError):
             solve_reflection_matrix(build_model(spec))
 
+    def test_dependence_threshold(self):
+        # channels Z +- eps X: the coefficient vectors' singular values are
+        # sqrt(2) and sqrt(2) eps, so eps is their ratio; the cutoff is 1e-5
+        for eps, independent in ((1e-4, True), (1e-6, False)):
+            channels = tuple(PauliOperator(1, {"Z": 1.0, "X": sign * eps}) for sign in (1, -1))
+            spec = ModelSpec(n=1, fields=(1.0,), noise=Dephasing((0.2,)),
+                             custom=CustomParts(lindblads=channels))
+            report = check_lemma(build_model(spec))
+            assert (report.cond_ii.reflection is not None) is independent, eps
+            assert ("linearly dependent" in report.cond_ii.message) is not independent, eps
+
     def test_empty_channel_set(self):
         model = build_example2(ModelSpec(n=2, noise=Injection((0, 0), (0, 0))))
         refl = solve_reflection_matrix(model)

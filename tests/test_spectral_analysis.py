@@ -1,3 +1,4 @@
+import json
 import math
 import multiprocessing
 import os
@@ -35,7 +36,6 @@ from ptliouville import (
     classify_pt_phase,
     hamiltonian_eigenbasis,
     liouvillian_spectra,
-    match_bohr_frequencies,
     scale_noise,
     scan_pt_breaking,
     sigma_plus,
@@ -149,9 +149,7 @@ class TestEigenSpectrum:
         inf_channel = CustomParts(lindblads_extra=(PauliOperator.term("Z", 1e200) * 1e200,))
         model = build_model(ModelSpec(n=1, fields=(1.0,), noise=Dephasing((0.5,)),
                                       custom=inf_channel))
-        basis = hamiltonian_eigenbasis(model)
-        for solve in (liouvillian_spectra, classify_pt_phase, check_uniform_rate,
-                      lambda m: match_bohr_frequencies(m, basis)):
+        for solve in (liouvillian_spectra, classify_pt_phase, check_uniform_rate):
             with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
                 solve(model)
 
@@ -330,7 +328,6 @@ class TestSpectra:
         # the channel 0.5 Z times lambda meets g^2 = h at lambda = 2
         assert scan_pt_breaking(spec, 0.1, 4.0, resolution=1e-3).gamma_pt == pytest.approx(
             2 * bloch_transition_scale(1.0), abs=1e-3)
-        assert match_bohr_frequencies(model, hamiltonian_eigenbasis(model)).residual_max < 0.1
 
 
 def _sequential_spectra(model):
@@ -779,61 +776,47 @@ class TestUniformRate:
                     check_uniform_rate(scaled)
 
 
-class TestBohrMatching:
-    def test_no_noise_exact(self):
-        model = build_model(ModelSpec(n=2, couplings=((0, 1, 1.0, 0.9, 0.4),),
-                                      fields=(0.3, 0.7), noise=Dephasing((0.0, 0.0))))
-        basis = hamiltonian_eigenbasis(model)
-        result = match_bohr_frequencies(model, basis)
-        assert result.residual_max < 1e-10
-
-    def test_single_qubit_pull(self):
-        g = 0.3
-        model = build_model(single_qubit_spec(1.0, g))
-        basis = hamiltonian_eigenbasis(model)
-        result = match_bohr_frequencies(model, basis)
-        # oracle: coherence frequencies contract from +-2 to +-2 sqrt(1 - g^4)
-        expected = 2 - 2 * np.sqrt(1 - g**4)
-        assert result.residual_max == pytest.approx(expected, abs=1e-10)
-        matched = dict(result.pairs)
-        assert matched[(0, 1)].imag == pytest.approx(2 * np.sqrt(1 - g**4), abs=1e-10)
-        assert matched[(1, 0)].imag == pytest.approx(-2 * np.sqrt(1 - g**4), abs=1e-10)
-
-    def test_perturbative_family2(self):
-        rng = np.random.default_rng(193)
-        spec = random_example2_spec(rng, 2)
-        model = scale_noise(build_model(spec), 1e-3)
-        basis = hamiltonian_eigenbasis(model)
-        result = match_bohr_frequencies(model, basis, threshold=1e-4)
-        assert result.residual_max < 1e-4
-        assert result.mixing_ok is True
-
-    def test_package_import_leaves_scipy_optimize_unloaded(self):
-        # scipy.optimize takes about half a second to import, and only
-        # match_bohr_frequencies uses it; no other path loads any of scipy.
-        # The second run blocks the import, so those paths work without scipy.
-        script = """
-import sys
+def test_no_path_loads_scipy(tmp_path):
+    # The package needs numpy alone: neither the library analyses nor the four
+    # commands load any part of scipy.  The second run blocks the import, so
+    # every path also works without scipy installed.
+    script = """
+import contextlib, io, sys
 if sys.argv[1] == "blocked":
     sys.modules["scipy"] = None
-from ptliouville import (Dephasing, ModelSpec, build_model, check_lemma, hamiltonian_eigenbasis,
-                         liouvillian_spectra, pt_residual, scan_pt_breaking, v_matrix)
+from ptliouville import (Dephasing, ModelSpec, build_model, check_lemma, check_nondegeneracy,
+                         check_pt_pairing, check_uniform_rate, classify_pt_phase,
+                         hamiltonian_eigenbasis, liouvillian_spectra, pt_residual,
+                         scan_pt_breaking, v_matrix)
+from ptliouville.cli import main
 spec = ModelSpec(n=2, couplings=((0, 1, 0.6, 0.4, -0.2),), fields=(0.3, -0.5),
                  noise=Dephasing((0.2, 0.3)))
 model = build_model(spec)
 assert check_lemma(model).overall and pt_residual(model) < 1e-10
-liouvillian_spectra(model)
+check_pt_pairing(liouvillian_spectra(model).eig_shifted)
+classify_pt_phase(model)
+check_uniform_rate(model)
 scan_pt_breaking(spec, 0.01, 2.0, resolution=1e-3)
+check_nondegeneracy(hamiltonian_eigenbasis(model))
 v_matrix(model, hamiltonian_eigenbasis(model, resolve_w=True))
+for command in ("check", "spectrum", "scan", "vmatrix"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, "--model", sys.argv[2]]) == 0, command
 print(sorted(name for name, module in sys.modules.items()
              if module is not None and name.split(".")[0] == "scipy"))
 """
-        src = pathlib.Path(spectral_analysis.__file__).resolve().parents[1]
-        for mode in ("open", "blocked"):
-            done = subprocess.run(
-                [sys.executable, "-c", script, mode],
-                env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
-            assert done.stdout == "[]\n", mode
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "n": 2,
+        "hamiltonian": {"couplings": [{"i": 0, "j": 1, "jx": 0.6, "jy": 0.4, "jz": -0.2}],
+                        "fields_x": [0.3, -0.5]},
+        "noise": {"type": "dephasing", "gammas": [0.2, 0.3]}}))
+    src = pathlib.Path(spectral_analysis.__file__).resolve().parents[1]
+    for mode in ("open", "blocked"):
+        done = subprocess.run(
+            [sys.executable, "-c", script, mode, str(path)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
+        assert done.stdout == "[]\n", mode
 
 
 class TestVMatrix:
