@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import LinearDependenceError
+from .errors import LinearDependenceError, ModelConfigError
 from .model_builder import Model
 from .pauli_algebra import PauliOperator, anticommutator, as_identity_multiple, commutator
 
@@ -145,7 +145,7 @@ def solve_reflection_matrix(model: Model) -> ReflectionMatrix:
     sufficient condition failed, not the anti-symmetry itself.
 
     Raises LinearDependenceError when the adjoint channels do not form an
-    independent set (Z would not be unique).
+    independent set (Z would not be unique), and ModelConfigError on a non-finite coefficient.
     """
     m_count = len(model.lindblads)
     if m_count == 0:
@@ -163,6 +163,8 @@ def solve_reflection_matrix(model: Model) -> ReflectionMatrix:
     rhs = np.vstack([_coefficient_matrix(targets_u, words), _coefficient_matrix(targets_w, words)])
     # stacking [phi; phi] scales every singular value by sqrt(2), not their ratio
     design = np.vstack([phi, phi])
+    if not (np.all(np.isfinite(design)) and np.all(np.isfinite(rhs))):
+        raise ModelConfigError("condition (ii): a channel coefficient is not finite")
     solution, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=RANK_TOL)  # column m is z_m
     if rank < m_count:
         raise LinearDependenceError(

@@ -2,7 +2,8 @@
 
 All spectra are dense (complete eigenvalue sets are required), so the
 practical size limit is n <= 6.  Every generator spectrum is solved one Z2
-symmetry sector at a time, from the dense blocks of SuperOp.blocks.
+symmetry sector at a time, from the dense blocks of SuperOp.blocks.  A model's
+spectrum is solved once, as that of L' = L + shift * I; eig(L) is eig(L') - shift.
 
 A scan keeps the sector blocks of the Hamiltonian part R_H and the channel
 part R_D, assembled once; at noise scale lambda the generator is
@@ -67,7 +68,7 @@ def canonical_sort(eigs) -> np.ndarray:
 
 
 def _eigvals(mat) -> np.ndarray:
-    """Unsorted eigenvalues of a dense matrix; every generator spectrum is solved here.
+    """Unsorted complex eigenvalues of a dense matrix; every generator spectrum is solved here.
 
     Non-finite entries and solver non-convergence both raise
     numpy.linalg.LinAlgError, as numpy's own input check would.
@@ -75,7 +76,7 @@ def _eigvals(mat) -> np.ndarray:
     mat = np.asarray(mat)
     if not np.all(np.isfinite(mat)):
         raise np.linalg.LinAlgError("superoperator matrix contains non-finite entries")
-    return np.linalg.eigvals(mat)
+    return np.linalg.eigvals(mat).astype(complex, copy=False)
 
 
 _SOLVE_LOCK = threading.Lock()
@@ -102,8 +103,8 @@ def _openblas_threads() -> tuple:
     return _blas
 
 
-def _solve_blocks(blocks: list[np.ndarray]) -> np.ndarray:
-    """Unsorted eigenvalues in block order: block 0 here, the rest on the pool (module doc)."""
+def _solve_blocks(blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """Unsorted eigenvalues of each block: block 0 here, the rest on the pool (module doc)."""
     global _pool
     with _SOLVE_LOCK:
         if _openblas_threads():
@@ -119,10 +120,20 @@ def _solve_blocks(blocks: list[np.ndarray]) -> np.ndarray:
                     first = _eigvals(blocks[0])
                 finally:  # wait even when block 0 raises, then restore the count
                     wait(futures)
-                return np.concatenate([first, *(f.result() for f in futures)], dtype=complex)
+                return [first, *(f.result() for f in futures)]
             finally:
                 set_threads(previous)
-    return np.concatenate([_eigvals(b) for b in blocks], dtype=complex)
+    return [_eigvals(b) for b in blocks]
+
+
+def _shifted_spectrum(model: Model) -> tuple[list[np.ndarray], list[np.ndarray], float]:
+    """Sector blocks of L' = L + shift * I, each sector's eigenvalues and the shift.
+
+    The shift is build_liouvillian's: sum(c_m) when the constants exist, defined for any model.
+    """
+    generator = build_liouvillian(model)
+    blocks = generator.blocks(symmetry_sectors(model), generator.shift)
+    return blocks, _solve_blocks(blocks), generator.shift
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +194,8 @@ class EnergyEigenbasis:
 
 
 def _energy_clusters(energies: np.ndarray, tol: float) -> list[slice]:
-    clusters = []
-    start = 0
-    for i in range(1, energies.size):
-        if energies[i] - energies[i - 1] > tol:
-            clusters.append(slice(start, i))
-            start = i
-    clusters.append(slice(start, energies.size))
-    return clusters
+    edges = [0, *(np.flatnonzero(np.diff(energies) > tol) + 1), energies.size]
+    return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
 
 
 def hamiltonian_eigenbasis(model: Model, resolve_w: bool = False) -> EnergyEigenbasis:
@@ -260,7 +265,10 @@ def check_nondegeneracy(basis: EnergyEigenbasis, tol_deg: float = TOL_DEG) -> De
 
 @dataclass(frozen=True, eq=False)
 class SpectrumResult:
-    """Spectra of the Liouvillian and its shifted version, paired by the shift."""
+    """Sorted spectrum of L' and, in the same order, eig_shifted - shift as that of L.
+
+    The elementwise shift_deviation thus measures only the subtraction's rounding.
+    """
 
     n: int
     eig_liouvillian: np.ndarray
@@ -270,19 +278,10 @@ class SpectrumResult:
 
 
 def liouvillian_spectra(model: Model) -> SpectrumResult:
-    """Both full spectra plus the worst elementwise defect of the shift identity.
-
-    The shift is build_liouvillian's: the identity component of the channel
-    anticommutators, equal to sum(c_m) whenever the constants exist, but
-    defined for violating models too.
-    """
-    generator = build_liouvillian(model)
-    blocks = generator.blocks(symmetry_sectors(model))
-    shift = generator.shift
-    eig_l = canonical_sort(_solve_blocks(blocks))
-    for block in blocks:
-        block[np.diag_indices(block.shape[0])] += shift
-    eig_lp = canonical_sort(_solve_blocks(blocks))
+    """Both full spectra from one solve of L' (_shifted_spectrum), and the shift's rounding."""
+    _, eigs, shift = _shifted_spectrum(model)
+    eig_lp = canonical_sort(np.concatenate(eigs))
+    eig_l = eig_lp - shift
     deviation = float(np.max(np.abs(eig_lp - (eig_l + shift)))) if eig_l.size else 0.0
     return SpectrumResult(model.n, eig_l, eig_lp, shift, deviation)
 
@@ -321,9 +320,9 @@ class ScanResult:
         }
 
 
-def _axis_count(blocks: list[np.ndarray], n: int,
-                tol_im: float) -> tuple[np.ndarray, np.ndarray, str]:
-    """Eigenvalues of the sector blocks of L', their imaginary-axis mask and phase label.
+def _axis_count(blocks: list[np.ndarray], eigs: list[np.ndarray], n: int,
+                tol_im: float) -> tuple[list[np.ndarray], int, str]:
+    """On-axis masks of eigs, the eigenvalues of the sector blocks of L', their total and label.
 
     Classification, the uniform rate and every scan probe count here, so
     UNBROKEN (at least N^2 - N eigenvalues on the axis, order-free since
@@ -336,18 +335,18 @@ def _axis_count(blocks: list[np.ndarray], n: int,
     """
     if not (0 < tol_im < math.inf):
         raise ModelConfigError(f"tol_im must be finite and > 0, got {tol_im!r}")
-    eigs = _solve_blocks(blocks)
     with np.errstate(over="ignore"):
         norm = float(np.sqrt(np.sum([np.sum(b * b) for b in blocks])))
     if not math.isfinite(norm):
         raise ModelConfigError("the shifted generator has a non-finite Frobenius norm")
-    on_axis = np.abs(eigs.real) <= tol_im * norm
-    dim = 2 ** n
-    return eigs, on_axis, UNBROKEN if np.sum(on_axis) >= dim * dim - dim else BROKEN
+    on_axis = [np.abs(e.real) <= tol_im * norm for e in eigs]
+    count = sum(int(np.sum(mask)) for mask in on_axis)
+    return on_axis, count, UNBROKEN if count >= 4 ** n - 2 ** n else BROKEN
 
 
-def _imaginary_axis_count(model: Model, tol_im: float) -> tuple[np.ndarray, np.ndarray, str, float]:
-    """_axis_count of L' = L + shift * I, plus the shift.
+def _imaginary_axis_count(model: Model,
+                          tol_im: float) -> tuple[np.ndarray, PhaseClassification, float]:
+    """Eigenvalues of L' in sector order, their _axis_count as a classification, the shift.
 
     Needs condition (iii)'s channel constants: without them L' is not the
     anti-symmetric generator.
@@ -356,9 +355,9 @@ def _imaginary_axis_count(model: Model, tol_im: float) -> tuple[np.ndarray, np.n
         raise UncertifiedModelError(
             "channel constants are unavailable: some {L_m, L_m^dag} is not an identity multiple"
         )
-    generator = build_liouvillian(model)
-    blocks = generator.blocks(symmetry_sectors(model), generator.shift)
-    return (*_axis_count(blocks, model.n, tol_im), generator.shift)
+    blocks, eigs, shift = _shifted_spectrum(model)
+    _, count, label = _axis_count(blocks, eigs, model.n, tol_im)
+    return np.concatenate(eigs), PhaseClassification(count, label), shift
 
 
 def classify_pt_phase(model: Model, tol_im: float = TOL_IM) -> PhaseClassification:
@@ -367,8 +366,7 @@ def classify_pt_phase(model: Model, tol_im: float = TOL_IM) -> PhaseClassificati
     The axis threshold is tol_im relative to the Frobenius norm of the
     shifted generator.
     """
-    _, on_axis, label, _ = _imaginary_axis_count(model, tol_im)
-    return PhaseClassification(int(np.sum(on_axis)), label)
+    return _imaginary_axis_count(model, tol_im)[1]
 
 
 # A scan makes at most this many probes beyond bisection's
@@ -568,17 +566,16 @@ def scan_pt_breaking(
     h_blocks = build_liouvillian(replace(base, lindblads=())).blocks(sectors)
     d_part = build_liouvillian(replace(base, hamiltonian=PauliOperator.zero(base.n)))
     d_blocks = d_part.blocks(sectors, d_part.shift)
-    bounds = np.cumsum([idx.size for idx in sectors])[:-1]
     need = 4 ** base.n - 2 ** base.n
     probes: list[ScanProbe] = []
 
     def probe(lam: float) -> _Probe:
         mu = lam * lam
-        eigs, on_axis, label = _axis_count([h + mu * d for h, d in zip(h_blocks, d_blocks)],
-                                           base.n, tol_im)
-        count = int(np.sum(on_axis))
+        blocks = [h + mu * d for h, d in zip(h_blocks, d_blocks)]
+        eigs = _solve_blocks(blocks)
+        on_axis, count, label = _axis_count(blocks, eigs, base.n, tol_im)
         probes.append(ScanProbe(lam, count, label))
-        return _Probe(lam, count, label, np.split(eigs, bounds), np.split(on_axis, bounds))
+        return _Probe(lam, count, label, eigs, on_axis)
 
     lo = probe(float(lambda_min))
     hi = probe(float(lambda_max))
@@ -637,9 +634,9 @@ def check_uniform_rate(model: Model, tol_im: float = TOL_IM) -> UniformRateRepor
     real parts must vanish, i.e. those of L equal -sum(c_m).  Raises
     BrokenPhaseError when the model does not classify UNBROKEN.
     """
-    shifted, _, label, shift = _imaginary_axis_count(model, tol_im)
+    shifted, phase, shift = _imaginary_axis_count(model, tol_im)
     n_coh = 4 ** model.n - 2 ** model.n
-    if label == BROKEN:
+    if phase.classification == BROKEN:
         raise BrokenPhaseError(
             "model classifies BROKEN at this noise scale; no uniform coherence rate exists"
         )

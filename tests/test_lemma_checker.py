@@ -6,6 +6,7 @@ from ptliouville import (
     Dephasing,
     Injection,
     LinearDependenceError,
+    ModelConfigError,
     ModelSpec,
     PauliOperator,
     build_example2,
@@ -104,6 +105,15 @@ class TestReflectionMatrix:
             report = check_lemma(build_model(spec))
             assert (report.cond_ii.reflection is not None) is independent, eps
             assert ("linearly dependent" in report.cond_ii.message) is not independent, eps
+
+    def test_overflowing_channel_is_config_error(self, capfd):
+        # a coefficient that overflowed to inf never reaches the least squares
+        channel = PauliOperator.term("Z", 1e200) * 1e200
+        spec = ModelSpec(n=1, fields=(1.0,), noise=Dephasing((0.2,)),
+                         custom=CustomParts(lindblads_extra=(channel,)))
+        with pytest.raises(ModelConfigError, match="not finite"):
+            check_lemma(build_model(spec))
+        assert capfd.readouterr().err == ""
 
     def test_empty_channel_set(self):
         model = build_example2(ModelSpec(n=2, noise=Injection((0, 0), (0, 0))))

@@ -98,7 +98,7 @@ def single_qubit_spec(h=1.0, g=1.0):
 
 class TestEigenSpectrum:
     def test_identity_matrix(self):
-        eigs = canonical_sort(spectral_analysis._solve_blocks([np.eye(5)]))
+        (eigs,) = spectral_analysis._solve_blocks([np.eye(5)])
         assert np.allclose(eigs, np.ones(5))
 
     def test_commutator_spectrum(self):
@@ -245,6 +245,24 @@ class TestEigenbasis:
         assert basis.energies == pytest.approx([0.0, 0.0])
         assert sorted(basis.parities.tolist()) == [-1, 1]
 
+    def test_energy_clusters_match_loop(self):
+        # reference: the per-energy loop that np.diff replaced
+        def loop_clusters(energies, tol):
+            clusters, start = [], 0
+            for i in range(1, energies.size):
+                if energies[i] - energies[i - 1] > tol:
+                    clusters.append(slice(start, i))
+                    start = i
+            return clusters + [slice(start, energies.size)]
+
+        rng = np.random.default_rng(163)
+        for size in (1, 2, 7, 40):
+            # exact ties and gaps on both sides of the tolerance
+            energies = np.sort(np.round(rng.normal(size=size), 1)
+                               + rng.integers(0, 3, size=size) * 0.6e-9)
+            assert spectral_analysis._energy_clusters(energies, 1e-9) == loop_clusters(
+                energies, 1e-9)
+
     def test_resolve_requires_commuting_w(self):
         spec = ModelSpec(
             n=1,
@@ -331,16 +349,38 @@ class TestSpectra:
 
 
 def _sequential_spectra(model):
-    """Both sorted spectra from plain per-block eigvals calls, one after another."""
-    generator, sectors = build_liouvillian(model), symmetry_sectors(model)
-    return [canonical_sort(np.concatenate(
-        [np.linalg.eigvals(b) for b in generator.blocks(sectors, shift)]))
-        for shift in (0.0, generator.shift)]
+    """Both sorted spectra from plain per-block eigvals of L', one after another: L by the shift."""
+    generator = build_liouvillian(model)
+    blocks = generator.blocks(symmetry_sectors(model), generator.shift)
+    shifted = canonical_sort(np.concatenate([np.linalg.eigvals(b) for b in blocks]))
+    return [shifted - generator.shift, shifted]
 
 
 def _same_bits(result, want):
     return [a.tobytes() for a in (result.eig_liouvillian, result.eig_shifted)] == [
         a.tobytes() for a in want]
+
+
+def test_one_solve_per_sector(monkeypatch):
+    # spectra, classification and the uniform rate each solve every sector
+    # of L' once, and the spectrum of L is that of L' minus the shift
+    model = build_model(ModelSpec(n=2, couplings=((0, 1, 1.0, 0.9, 0.4),), fields=(0.3, 0.7),
+                                  noise=Dephasing((0.1, 0.2))))  # UNBROKEN
+    sizes = sorted(idx.size for idx in symmetry_sectors(model))
+    solved = []
+    solve = spectral_analysis._eigvals
+
+    def recording(mat):
+        solved.append(mat.shape[0])
+        return solve(mat)
+
+    monkeypatch.setattr(spectral_analysis, "_eigvals", recording)
+    for analysis in (liouvillian_spectra, classify_pt_phase, check_uniform_rate):
+        solved.clear()
+        analysis(model)
+        assert sorted(solved) == sizes, analysis.__name__
+    result = liouvillian_spectra(model)
+    assert result.eig_liouvillian.tobytes() == (result.eig_shifted - result.shift).tobytes()
 
 
 class TestBlockSolve:
@@ -382,7 +422,7 @@ class TestBlockSolve:
                 assert blas[0]() == want_count
                 # the reference below runs with one thread, as every solve did
                 blas[1](1)
-        assert counts == [None if blas is None else 1] * 8
+        assert counts == [None if blas is None else 1] * 4
         want = _sequential_spectra(model)
         assert all(_same_bits(result, want) for result in results)
 
@@ -399,7 +439,7 @@ class TestBlockSolve:
             assert blas[0]() == want_count
         # the lock was released
         eigs = spectral_analysis._solve_blocks([good, 3 * good])
-        assert eigs.real.tolist() == [1.0, 2.0, 3.0, 6.0]
+        assert [e.real.tolist() for e in eigs] == [[1.0, 2.0], [3.0, 6.0]]
 
     def test_concurrent_callers_get_sequential_results(self, blas):
         # more callers than cores, switching threads as often as possible
@@ -665,10 +705,9 @@ class TestScan:
         axis_count = spectral_analysis._axis_count
         seen = []
 
-        def recording(blocks, n, tol_im):
-            result = axis_count(blocks, n, tol_im)
-            seen.append((blocks, result[0]))
-            return result
+        def recording(blocks, eigs, n, tol_im):
+            seen.append((blocks, np.concatenate(eigs)))
+            return axis_count(blocks, eigs, n, tol_im)
 
         monkeypatch.setattr(spectral_analysis, "_axis_count", recording)
         specs = mixed_corpus(307, 4)
