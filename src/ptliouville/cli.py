@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ModelConfigError, PTLiouvilleError
-from .lemma_checker import check_lemma
+from .lemma_checker import TOL_CERT, check_lemma
 from .model_builder import Model, ModelSpec, build_model, parse_model_config
 from .spectral_analysis import (
     TOL_IM,
@@ -33,7 +33,6 @@ EXIT_OK = 0
 EXIT_CERT_FAIL = 1
 EXIT_INPUT = 2
 
-PT_RESIDUAL_TOL = 1e-10
 DEFAULT_MAX_N = 6
 
 
@@ -42,7 +41,7 @@ DEFAULT_MAX_N = 6
 # ---------------------------------------------------------------------------
 
 
-class _NonFiniteOutput(ValueError):
+class _NonFiniteOutput(ModelConfigError):
     """A computed number JSON cannot carry; main() reports it as an input error."""
 
 
@@ -122,7 +121,7 @@ def cmd_check(args) -> int:
     doc = report.to_json_dict()
     doc["pt_residual"] = residual
     _emit(dumps_canonical(doc) + "\n", args.out)
-    certified = report.overall and residual < PT_RESIDUAL_TOL
+    certified = report.overall and residual < TOL_CERT
     return EXIT_OK if certified else EXIT_CERT_FAIL
 
 
@@ -243,15 +242,12 @@ def main(argv=None) -> int:
         # overflow shows as a non-finite result, reported as one error line
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except ModelConfigError as exc:
+    except (ModelConfigError, np.linalg.LinAlgError) as exc:  # LinAlgError: non-finite results
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PTLiouvilleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CERT_FAIL
-    except (_NonFiniteOutput, np.linalg.LinAlgError) as exc:  # non-finite results
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":  # pragma: no cover

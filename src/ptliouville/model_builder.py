@@ -92,7 +92,7 @@ def require_hermitian(h: PauliOperator, where: str) -> None:
 
 def validate_spec(spec: ModelSpec) -> None:
     """Structural and finiteness validation; raises ModelConfigError naming the field."""
-    if not isinstance(spec.n, int) or spec.n < 1:
+    if isinstance(spec.n, bool) or not isinstance(spec.n, int) or spec.n < 1:
         raise ModelConfigError(f"n must be a positive integer, got {spec.n!r}")
     seen = set()
     for i, cpl in enumerate(spec.couplings):

@@ -53,7 +53,7 @@ _PHASES = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
 
 
 def _check_qubits(n) -> None:
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise DimensionError(f"qubit count must be a positive integer, got {n!r}")
 
 

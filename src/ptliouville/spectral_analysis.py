@@ -4,6 +4,7 @@ All spectra are dense (complete eigenvalue sets are required), so the
 practical size limit is n <= 6.  Every generator spectrum is solved one Z2
 symmetry sector at a time, from the dense blocks of SuperOp.blocks.  A model's
 spectrum is solved once, as that of L' = L + shift * I; eig(L) is eig(L') - shift.
+Classification, the uniform rate and every scan probe solve and count in _probe.
 
 A scan keeps the sector blocks of the Hamiltonian part R_H and the channel
 part R_D, assembled once; at noise scale lambda the generator is
@@ -14,9 +15,11 @@ bracket by interpolating a squared indicator that is linear across a
 square-root branch point (Heiss, J. Phys. A 45, 444016 (2012)), under an
 ITP safeguard that bounds the probe count by bisection's plus
 SCAN_EXTRA_PROBES.  The prediction uses numpy sorts and elementwise
-arithmetic only, so probes do not depend on the BLAS thread count.  Bounds
-outside 0 < lambda_min < lambda_max < inf, a resolution outside
-0 < resolution < inf and a tol_im outside 0 < tol_im < inf raise
+arithmetic only, so probes do not depend on the BLAS thread count.  Arguments
+are checked before any work, in this order: a scan's bounds
+(0 < lambda_min < lambda_max < inf), resolution and tol_im (finite, > 0),
+then the base model's certification; for classify_pt_phase and
+check_uniform_rate, tol_im, then condition (iii).  A bad argument raises
 ModelConfigError (CLI exit 2).
 
 Thread safety: solves hold a module lock, under which the sector blocks of
@@ -126,14 +129,47 @@ def _solve_blocks(blocks: list[np.ndarray]) -> list[np.ndarray]:
     return [_eigvals(b) for b in blocks]
 
 
-def _shifted_spectrum(model: Model) -> tuple[list[np.ndarray], list[np.ndarray], float]:
-    """Sector blocks of L' = L + shift * I, each sector's eigenvalues and the shift.
-
-    The shift is build_liouvillian's: sum(c_m) when the constants exist, defined for any model.
-    """
+def _shifted_blocks(model: Model) -> tuple[list[np.ndarray], float]:
+    """Sector blocks of L' = L + shift * I and build_liouvillian's shift, defined for any model."""
     generator = build_liouvillian(model)
-    blocks = generator.blocks(symmetry_sectors(model), generator.shift)
-    return blocks, _solve_blocks(blocks), generator.shift
+    return generator.blocks(symmetry_sectors(model), generator.shift), generator.shift
+
+
+def _check_tol_im(tol_im: float) -> None:
+    if not (0 < tol_im < math.inf):
+        raise ModelConfigError(f"tol_im must be finite and > 0, got {tol_im!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class _Probe:
+    """The one record of a solved L' at noise scale lam; eigs and on_axis are per sector."""
+
+    lam: float
+    count: int
+    label: str
+    eigs: list[np.ndarray]
+    on_axis: list[np.ndarray]
+
+
+def _probe(blocks: list[np.ndarray], n: int, tol_im: float, lam: float = 1.0) -> _Probe:
+    """Solve the sector blocks of L' and count the eigenvalues on the imaginary axis.
+
+    UNBROKEN (at least N^2 - N eigenvalues on the axis, order-free since
+    population and coherence sectors mix) holds exactly when a uniform rate
+    exists.  On the axis means |Re| <= tol_im ||L'||_F (basis-independent,
+    and all of a zero L'), with the norm summed by numpy over the blocks: a
+    BLAS dot product rounds differently with the thread count.  A norm that
+    overflows raises ModelConfigError: its inf threshold would put every
+    eigenvalue on the axis.  The caller has checked tol_im.
+    """
+    eigs = _solve_blocks(blocks)
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(np.sum([np.sum(b * b) for b in blocks])))
+    if not math.isfinite(norm):
+        raise ModelConfigError("the shifted generator has a non-finite Frobenius norm")
+    on_axis = [np.abs(e.real) <= tol_im * norm for e in eigs]
+    count = sum(int(np.sum(mask)) for mask in on_axis)
+    return _Probe(lam, count, UNBROKEN if count >= 4 ** n - 2 ** n else BROKEN, eigs, on_axis)
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +314,9 @@ class SpectrumResult:
 
 
 def liouvillian_spectra(model: Model) -> SpectrumResult:
-    """Both full spectra from one solve of L' (_shifted_spectrum), and the shift's rounding."""
-    _, eigs, shift = _shifted_spectrum(model)
-    eig_lp = canonical_sort(np.concatenate(eigs))
+    """Both full spectra from one solve of the blocks of L', and the shift's rounding."""
+    blocks, shift = _shifted_blocks(model)
+    eig_lp = canonical_sort(np.concatenate(_solve_blocks(blocks)))
     eig_l = eig_lp - shift
     deviation = float(np.max(np.abs(eig_lp - (eig_l + shift)))) if eig_l.size else 0.0
     return SpectrumResult(model.n, eig_l, eig_lp, shift, deviation)
@@ -320,44 +356,18 @@ class ScanResult:
         }
 
 
-def _axis_count(blocks: list[np.ndarray], eigs: list[np.ndarray], n: int,
-                tol_im: float) -> tuple[list[np.ndarray], int, str]:
-    """On-axis masks of eigs, the eigenvalues of the sector blocks of L', their total and label.
+def _certified_probe(model: Model, tol_im: float) -> tuple[_Probe, float]:
+    """_probe of the model's L' and the shift, once tol_im and condition (iii) hold.
 
-    Classification, the uniform rate and every scan probe count here, so
-    UNBROKEN (at least N^2 - N eigenvalues on the axis, order-free since
-    population and coherence sectors mix) holds exactly when a uniform rate
-    exists.  On the axis means |Re| <= tol_im ||L'||_F (basis-independent,
-    and all of a zero L'), with the norm summed by numpy over the blocks: a
-    BLAS dot product rounds differently with the thread count.  A norm that
-    overflows raises ModelConfigError: its inf threshold would put every
-    eigenvalue on the axis.
+    Without condition (iii)'s channel constants L' is not the anti-symmetric generator.
     """
-    if not (0 < tol_im < math.inf):
-        raise ModelConfigError(f"tol_im must be finite and > 0, got {tol_im!r}")
-    with np.errstate(over="ignore"):
-        norm = float(np.sqrt(np.sum([np.sum(b * b) for b in blocks])))
-    if not math.isfinite(norm):
-        raise ModelConfigError("the shifted generator has a non-finite Frobenius norm")
-    on_axis = [np.abs(e.real) <= tol_im * norm for e in eigs]
-    count = sum(int(np.sum(mask)) for mask in on_axis)
-    return on_axis, count, UNBROKEN if count >= 4 ** n - 2 ** n else BROKEN
-
-
-def _imaginary_axis_count(model: Model,
-                          tol_im: float) -> tuple[np.ndarray, PhaseClassification, float]:
-    """Eigenvalues of L' in sector order, their _axis_count as a classification, the shift.
-
-    Needs condition (iii)'s channel constants: without them L' is not the
-    anti-symmetric generator.
-    """
+    _check_tol_im(tol_im)
     if check_condition_iii(model).constants is None:
         raise UncertifiedModelError(
             "channel constants are unavailable: some {L_m, L_m^dag} is not an identity multiple"
         )
-    blocks, eigs, shift = _shifted_spectrum(model)
-    _, count, label = _axis_count(blocks, eigs, model.n, tol_im)
-    return np.concatenate(eigs), PhaseClassification(count, label), shift
+    blocks, shift = _shifted_blocks(model)
+    return _probe(blocks, model.n, tol_im), shift
 
 
 def classify_pt_phase(model: Model, tol_im: float = TOL_IM) -> PhaseClassification:
@@ -366,7 +376,8 @@ def classify_pt_phase(model: Model, tol_im: float = TOL_IM) -> PhaseClassificati
     The axis threshold is tol_im relative to the Frobenius norm of the
     shifted generator.
     """
-    return _imaginary_axis_count(model, tol_im)[1]
+    probe = _certified_probe(model, tol_im)[0]
+    return PhaseClassification(probe.count, probe.label)
 
 
 # A scan makes at most this many probes beyond bisection's
@@ -374,17 +385,6 @@ def classify_pt_phase(model: Model, tol_im: float = TOL_IM) -> PhaseClassificati
 # ITP safeguard (Oliveira & Takahashi, ACM TOMS 47(1), 2020).
 SCAN_EXTRA_PROBES = 10
 _OVERSHOOT = 0.25  # a march step aims this fraction past the predicted collision
-
-
-@dataclass(frozen=True, eq=False)
-class _Probe:
-    """A scan probe: its label and, per sector, its eigenvalues and on-axis mask."""
-
-    lam: float
-    count: int
-    label: str
-    eigs: list[np.ndarray]
-    on_axis: list[np.ndarray]
 
 
 def _predicted_collision(history: list[_Probe]) -> float:
@@ -555,6 +555,7 @@ def scan_pt_breaking(
         )
     if not (0 < resolution < math.inf):
         raise ModelConfigError(f"scan resolution must be finite and > 0, got {resolution}")
+    _check_tol_im(tol_im)
     base = build_model(spec)
     report = check_lemma(base).to_json_dict()
     if not all(map(math.isfinite, [*report["residuals"].values(), *(report["c"] or ())])):
@@ -570,12 +571,9 @@ def scan_pt_breaking(
     probes: list[ScanProbe] = []
 
     def probe(lam: float) -> _Probe:
-        mu = lam * lam
-        blocks = [h + mu * d for h, d in zip(h_blocks, d_blocks)]
-        eigs = _solve_blocks(blocks)
-        on_axis, count, label = _axis_count(blocks, eigs, base.n, tol_im)
-        probes.append(ScanProbe(lam, count, label))
-        return _Probe(lam, count, label, eigs, on_axis)
+        new = _probe([h + lam * lam * d for h, d in zip(h_blocks, d_blocks)], base.n, tol_im, lam)
+        probes.append(ScanProbe(lam, new.count, new.label))
+        return new
 
     lo = probe(float(lambda_min))
     hi = probe(float(lambda_max))
@@ -634,12 +632,13 @@ def check_uniform_rate(model: Model, tol_im: float = TOL_IM) -> UniformRateRepor
     real parts must vanish, i.e. those of L equal -sum(c_m).  Raises
     BrokenPhaseError when the model does not classify UNBROKEN.
     """
-    shifted, phase, shift = _imaginary_axis_count(model, tol_im)
-    n_coh = 4 ** model.n - 2 ** model.n
-    if phase.classification == BROKEN:
+    probe, shift = _certified_probe(model, tol_im)
+    if probe.label == BROKEN:
         raise BrokenPhaseError(
             "model classifies BROKEN at this noise scale; no uniform coherence rate exists"
         )
+    shifted = np.concatenate(probe.eigs)
+    n_coh = 4 ** model.n - 2 ** model.n
     order = np.argsort(np.abs(shifted.real), kind="stable")
     selected = shifted[order[:n_coh]]
     max_deviation = float(np.max(np.abs(selected.real))) if selected.size else 0.0

@@ -55,6 +55,10 @@ NON_HERMITIAN_H = {
 }
 
 
+# A condition (i) control: scan exits 1 on it once its arguments pass.
+UNCERTIFIED_N2 = {**EXAMPLE1_N2, "custom": {"h_extra": [{"word": "ZI", "coeff": 0.5}]}}
+
+
 def write_model(tmp_path, doc, name="model.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -80,9 +84,7 @@ class TestCheck:
         assert np.max(np.abs(z - np.eye(2))) < 1e-10
 
     def test_field_injection_fails_condition_i(self, tmp_path, capsys):
-        doc = dict(EXAMPLE1_N2)
-        doc["custom"] = {"h_extra": [{"word": "ZI", "coeff": 0.5}]}
-        path = write_model(tmp_path, doc)
+        path = write_model(tmp_path, UNCERTIFIED_N2)
         code, out, _ = run_cli(capsys, "check", "--model", path)
         assert code == 1
         parsed = json.loads(out)
@@ -287,27 +289,33 @@ class TestScan:
         assert tail["gamma_pt"] is None
 
     @pytest.mark.parametrize(
-        "argv, where",
+        "argv, where, doc",
         [
-            (("--tol-im", "nan"), "tol_im"),
-            (("--tol-im", "-1"), "tol_im"),
-            (("--tol-im", "inf"), "tol_im"),
-            (("--lambda-max", "inf"), "lambda_max < inf"),
-            (("--lambda-max", "nan"), "lambda_max < inf"),
+            (("--tol-im", "nan"), "tol_im", EXAMPLE1_N2),
+            (("--tol-im", "-1"), "tol_im", EXAMPLE1_N2),
+            (("--tol-im", "inf"), "tol_im", EXAMPLE1_N2),
+            # checked before the base model's certification, as the bounds are
+            (("--tol-im", "nan"), "tol_im", UNCERTIFIED_N2),
+            (("--tol-im", "-1"), "tol_im", UNCERTIFIED_N2),
+            (("--tol-im", "inf"), "tol_im", UNCERTIFIED_N2),
+            (("--lambda-max", "inf"), "lambda_max < inf", EXAMPLE1_N2),
+            (("--lambda-max", "nan"), "lambda_max < inf", EXAMPLE1_N2),
             # finite bound, but lambda^2 overflows: the non-finite generator guard
-            (("--lambda-max", "1e200"), "non-finite"),
+            (("--lambda-max", "1e200"), "non-finite", EXAMPLE1_N2),
             # a finite generator whose squared entries overflow: the norm guard, as an
             # inf axis threshold would put every eigenvalue on the axis
-            (("--lambda-max", "1e80"), "non-finite"),
+            (("--lambda-max", "1e80"), "non-finite", EXAMPLE1_N2),
             # an infinite resolution would report the whole range as the bracket
-            (("--resolution", "inf"), "resolution"),
+            (("--resolution", "inf"), "resolution", EXAMPLE1_N2),
         ],
-        ids=["tol-im-nan", "tol-im-negative", "tol-im-inf", "lambda-max-inf", "lambda-max-nan",
-             "lambda-max-overflow", "lambda-max-norm-overflow", "resolution-inf"],
+        ids=["tol-im-nan", "tol-im-negative", "tol-im-inf", "tol-im-nan-uncertified",
+             "tol-im-negative-uncertified", "tol-im-inf-uncertified", "lambda-max-inf",
+             "lambda-max-nan", "lambda-max-overflow", "lambda-max-norm-overflow",
+             "resolution-inf"],
     )
     @pytest.mark.filterwarnings("error")
-    def test_bad_scan_parameter_is_input_error(self, tmp_path, capsys, argv, where):
-        path = write_model(tmp_path, EXAMPLE1_N2)
+    def test_bad_scan_parameter_is_input_error(self, tmp_path, capsys, argv, where, doc):
+        path = write_model(tmp_path, doc)
         code, out, err = run_cli(capsys, "scan", "--model", path, *argv)
         assert code == 2
         assert out == ""
@@ -326,9 +334,7 @@ class TestScan:
         assert "--tol-im" in captured.err
 
     def test_uncertified_model_exits_one(self, tmp_path, capsys):
-        doc = dict(EXAMPLE1_N2)
-        doc["custom"] = {"h_extra": [{"word": "ZI", "coeff": 0.5}]}
-        path = write_model(tmp_path, doc)
+        path = write_model(tmp_path, UNCERTIFIED_N2)
         code, out, err = run_cli(capsys, "scan", "--model", path)
         assert code == 1
         assert out == ""
@@ -389,6 +395,29 @@ class TestVMatrix:
         parsed = json.loads(out)
         assert parsed["asymmetry"] > 1e-3
         assert parsed["parities"] is None  # [H, W] != 0, no joint eigenbasis
+
+
+# Input errors that no other CLI test raises: (command and flags, model
+# document, the text that the error line starts with).  The model cases are
+# three of test_model_builder.py's INPUT_ERRORS.
+CLI_INPUT_ERRORS = {
+    "vmatrix-csv": (("vmatrix", "--format", "csv"), EXAMPLE1_N2,
+                    "vmatrix supports --format json only"),
+    "check-top-level-array": (("check",), [EXAMPLE1_N2], "top level: expected a JSON object"),
+    "spectrum-boolean-n": (("spectrum",), {**EXAMPLE1_N2, "n": True},
+                           "n: expected a positive integer, got True"),
+    "scan-string-strength": (
+        ("scan",), {**EXAMPLE1_N2, "hamiltonian": {"couplings": [{"i": 0, "j": 1, "jx": "1"}]}},
+        "hamiltonian.couplings[0].jx: expected a number"),
+}
+
+
+@pytest.mark.parametrize("argv, doc, where", CLI_INPUT_ERRORS.values(), ids=CLI_INPUT_ERRORS.keys())
+def test_input_error_exits_two(tmp_path, capsys, argv, doc, where):
+    command, *flags = argv
+    code, out, err = run_cli(capsys, command, "--model", write_model(tmp_path, doc), *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {where}") and err.count("\n") == 1
 
 
 class TestDeterminism:

@@ -1,6 +1,8 @@
+import json
 import math
 import re
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -437,3 +439,81 @@ class TestNonFiniteInput:
             PauliOperator(1, {"X": coeff})
         with pytest.raises(ValueError, match="not finite"):
             PauliOperator.single("Z", 1, 2, coeff)
+
+
+def test_boolean_qubit_count_rejected():
+    # bool is an int subclass; n=True once validated, built, and failed later
+    # in the dense layers with an unrelated format error
+    spec = ModelSpec(n=True, fields=(1.0,), noise=Dephasing((0.5,)))
+    for bad in (model_builder.validate_spec, build_model):
+        with pytest.raises(ModelConfigError, match="n must be a positive integer, got True"):
+            bad(spec)
+
+
+def _doc(n=2, **fields):
+    return {"n": n, "noise": {"type": "dephasing", "gammas": [0.2] * n}, **fields}
+
+
+def _coupling(**entry):
+    return {"hamiltonian": {"couplings": [entry]}}
+
+
+def _parsed(doc):
+    return partial(parse_model_config, json.dumps(doc))
+
+
+# Input errors that no other test raises, each with the field path that its
+# message names.
+INPUT_ERRORS = {
+    "top-level-array": (_parsed([_doc()]), "top level: expected a JSON object"),
+    "missing-n": (_parsed({"noise": {"type": "dephasing"}}),
+                  "top level: missing required field 'n'"),
+    "boolean-n": (_parsed({"n": True}), "n: expected a positive integer, got True"),
+    "zero-n": (_parsed({"n": 0}), "n: expected a positive integer, got 0"),
+    "hamiltonian-array": (_parsed(_doc(hamiltonian=[])), "hamiltonian: expected an object"),
+    "couplings-object": (_parsed(_doc(hamiltonian={"couplings": {}})),
+                         "hamiltonian.couplings: expected an array"),
+    "coupling-array": (_parsed(_doc(hamiltonian={"couplings": [[0, 1, 1.0]]})),
+                       "hamiltonian.couplings[0]: expected an object"),
+    "float-site-i": (_parsed(_doc(**_coupling(i=0.0, j=1, jx=1.0))),
+                     "hamiltonian.couplings[0].i: expected an integer site index"),
+    "string-site-j": (_parsed(_doc(**_coupling(i=0, j="1", jx=1.0))),
+                      "hamiltonian.couplings[0].j: expected an integer site index"),
+    "string-strength": (_parsed(_doc(**_coupling(i=0, j=1, jx="1"))),
+                        "hamiltonian.couplings[0].jx: expected a number, got '1'"),
+    "fields-object": (_parsed(_doc(hamiltonian={"fields_x": {"0": 0.5}})),
+                      "hamiltonian.fields_x: expected an array"),
+    "fields-length": (_parsed(_doc(hamiltonian={"fields_x": [0.5]})),
+                      "fields: expected 2 entries, got 1"),
+    "noise-string": (_parsed({"n": 1, "noise": "dephasing"}), "noise: expected an object"),
+    "string-rate": (_parsed({"n": 1, "noise": {"type": "dephasing", "gammas": ["0.5"]}}),
+                    "noise.gammas[0]: expected a real or [re, im] pair"),
+    "rate-triple": (_parsed({"n": 1, "noise": {"type": "injection", "a": [[0.1, 0.2, 0.3]]}}),
+                    "noise.a[0]: expected a real or [re, im] pair"),
+    "rates-number": (_parsed({"n": 1, "noise": {"type": "dephasing", "gammas": 0.5}}),
+                     "noise.gammas: expected an array"),
+    "negative-scale": (_parsed(_doc(scale=-1.0)), "scale: must be >= 0"),
+    "custom-array": (_parsed(_doc(custom=[])), "custom: expected an object"),
+    "terms-object": (_parsed(_doc(custom={"h_extra": {"word": "ZI"}})),
+                     "custom.h_extra: expected an array of terms"),
+    "term-string": (_parsed(_doc(custom={"h_extra": ["ZI"]})),
+                    "custom.h_extra[0]: expected an object"),
+    "word-number": (_parsed(_doc(custom={"h_extra": [{"word": 3}]})),
+                    "custom.h_extra[0].word: expected a string"),
+    "lindblads-object": (_parsed(_doc(custom={"lindblads": {}})),
+                         "custom.lindblads: expected an array of operators"),
+    "spec-zero-n": (partial(build_model, ModelSpec(n=0)), "n must be a positive integer, got 0"),
+    "example2-dephasing": (partial(build_example2, ModelSpec(n=1, noise=Dephasing((0.5,)))),
+                           "example-2 build requires injection noise"),
+    "custom-channel-sites": (
+        partial(build_model, ModelSpec(n=2, noise=Dephasing((0.2, 0.4)), custom=CustomParts(
+            lindblads_extra=(PauliOperator.term("Z"),)))),
+        "custom lindblad acts on 1 sites, model has 2"),
+}
+
+
+@pytest.mark.parametrize("run, where", INPUT_ERRORS.values(), ids=INPUT_ERRORS.keys())
+def test_input_error_names_field(run, where):
+    with pytest.raises(ModelConfigError) as exc:
+        run()
+    assert where in str(exc.value)

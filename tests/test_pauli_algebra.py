@@ -1,4 +1,5 @@
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -265,3 +266,25 @@ class TestReferenceProducts:
         for lm in model.lindblads[:4]:
             self.assert_pinned(lm, lm.dagger())
             self.assert_pinned(u @ lm, u)
+
+
+# Qubit counts and sites that no other test rejects, each with the text its
+# DimensionError names.
+DIMENSION_ERRORS = {
+    "zero-qubits": (partial(PauliOperator, 0), "qubit count must be a positive integer, got 0"),
+    "float-qubits": (partial(PauliOperator.identity, 2.0),
+                     "qubit count must be a positive integer, got 2.0"),
+    "boolean-qubits": (partial(PauliOperator, True, {"X": 1.0}),
+                       "qubit count must be a positive integer, got True"),
+    "boolean-identity": (partial(PauliOperator.identity, True),
+                         "qubit count must be a positive integer, got True"),
+    "single-site": (partial(PauliOperator.single, "X", 2, 2), "site 2 out of range for n=2"),
+    "raising-site": (partial(sigma_plus, -1, 3), "site -1 out of range for n=3"),
+}
+
+
+@pytest.mark.parametrize("run, where", DIMENSION_ERRORS.values(), ids=DIMENSION_ERRORS.keys())
+def test_dimension_error_names_count_or_site(run, where):
+    with pytest.raises(DimensionError) as exc:
+        run()
+    assert where in str(exc.value)

@@ -92,6 +92,11 @@ NON_MONOTONE = {
 }
 
 
+# A condition (i) control: the Z_0 field breaks [H, U] = 0.
+UNCERTIFIED_N2 = ModelSpec(n=2, fields=(0.3, -0.7), noise=Dephasing((0.2, 0.5)),
+                           custom=CustomParts(h_extra=PauliOperator.single("Z", 0, 2, 0.5)))
+
+
 def single_qubit_spec(h=1.0, g=1.0):
     return ModelSpec(n=1, fields=(h,), noise=Dephasing((g,)))
 
@@ -561,14 +566,8 @@ class TestScan:
                 assert classify_pt_phase(scale_noise(model, lam)).classification == UNBROKEN
 
     def test_uncertified_base_rejected(self):
-        spec = ModelSpec(
-            n=2,
-            fields=(0.3, -0.7),
-            noise=Dephasing((0.2, 0.5)),
-            custom=CustomParts(h_extra=PauliOperator.single("Z", 0, 2, 0.5)),
-        )
         with pytest.raises(UncertifiedModelError):
-            scan_pt_breaking(spec, 0.1, 2.0)
+            scan_pt_breaking(UNCERTIFIED_N2, 0.1, 2.0)
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ModelConfigError):
@@ -587,13 +586,18 @@ class TestScan:
 
     @pytest.mark.parametrize("tol_im", [np.nan, -1.0, 0.0, np.inf],
                              ids=["nan", "neg", "zero", "inf"])
-    def test_tol_im_must_be_positive_and_finite(self, tol_im):
+    def test_tol_im_must_be_positive_and_finite(self, tol_im, monkeypatch):
+        # checked before any solve, and before a scan certifies its base model
+        solved = []
+        monkeypatch.setattr(spectral_analysis, "_eigvals", solved.append)
         model = build_model(single_qubit_spec(1.0, 0.5))
         for count in (classify_pt_phase, check_uniform_rate):
             with pytest.raises(ModelConfigError, match="tol_im"):
                 count(model, tol_im)
-        with pytest.raises(ModelConfigError, match="tol_im"):
-            scan_pt_breaking(single_qubit_spec(), 0.1, 2.0, tol_im=tol_im)
+        for spec in (single_qubit_spec(), UNCERTIFIED_N2):
+            with pytest.raises(ModelConfigError, match="tol_im"):
+                scan_pt_breaking(spec, 0.1, 2.0, tol_im=tol_im)
+        assert solved == []
 
     @pytest.mark.parametrize("resolution", [np.inf, np.nan, 0.0, -1e-6],
                              ids=["inf", "nan", "zero", "neg"])
@@ -702,14 +706,15 @@ class TestScan:
     def test_probes_match_rebuilt_models(self, monkeypatch):
         # every probe's blocks, count and label against a model rebuilt by
         # scale_noise; the endpoint spectra against the dense oracle
-        axis_count = spectral_analysis._axis_count
+        solve = spectral_analysis._probe
         seen = []
 
-        def recording(blocks, eigs, n, tol_im):
-            seen.append((blocks, np.concatenate(eigs)))
-            return axis_count(blocks, eigs, n, tol_im)
+        def recording(blocks, n, tol_im, lam=1.0):
+            probe = solve(blocks, n, tol_im, lam)
+            seen.append((blocks, np.concatenate(probe.eigs)))
+            return probe
 
-        monkeypatch.setattr(spectral_analysis, "_axis_count", recording)
+        monkeypatch.setattr(spectral_analysis, "_probe", recording)
         specs = mixed_corpus(307, 4)
         scans = [scan_pt_breaking(spec, 0.01, 2.0, resolution=1e-2) for spec in specs]
         monkeypatch.undo()
