@@ -23,7 +23,16 @@ import numpy as np
 
 from .errors import LinearDependenceError, ModelConfigError
 from .model_builder import Model
-from .pauli_algebra import PauliOperator, anticommutator, as_identity_multiple, commutator
+from .pauli_algebra import (
+    PauliOperator,
+    _code_terms,
+    _commutator_norm,
+    _conjugation,
+    _identity_defect,
+    _in_word_order,
+    anticommutator,
+    as_identity_multiple,
+)
 
 TOL_CERT = 1e-10
 
@@ -109,25 +118,29 @@ class LemmaReport:
 
 
 def check_condition_i(model: Model) -> ConditionIReport:
-    """Unitarity and involutivity of U, W plus commutation with H."""
-    ident = PauliOperator.identity(model.n)
+    """Unitarity and involutivity of U, W plus commutation with H.
+
+    Each residual is the max-norm of ``u @ u.dagger() - identity`` and so on,
+    read from the word codes without forming the operator.
+    """
+    u, w = model.u, model.w
     residuals = {
-        "u_unitary": (model.u @ model.u.dagger() - ident).max_norm(),
-        "u_involution": (model.u @ model.u - ident).max_norm(),
-        "w_unitary": (model.w @ model.w.dagger() - ident).max_norm(),
-        "w_involution": (model.w @ model.w - ident).max_norm(),
-        "hu_commutator": commutator(model.hamiltonian, model.u).max_norm(),
-        "hw_commutator": commutator(model.hamiltonian, model.w).max_norm(),
+        "u_unitary": _identity_defect(u, u.dagger()),
+        "u_involution": _identity_defect(u, u),
+        "w_unitary": _identity_defect(w, w.dagger()),
+        "w_involution": _identity_defect(w, w),
+        "hu_commutator": _commutator_norm(model.hamiltonian, u),
+        "hw_commutator": _commutator_norm(model.hamiltonian, w),
     }
     return ConditionIReport(all(r < TOL_CERT for r in residuals.values()), residuals)
 
 
-def _coefficient_matrix(ops, words) -> np.ndarray:
-    mat = np.zeros((len(words), len(ops)), dtype=complex)
-    index = {w: i for i, w in enumerate(words)}
+def _coefficient_matrix(ops, rows: dict[int, int]) -> np.ndarray:
+    """One column per code-keyed operator, one row per word code."""
+    mat = np.zeros((len(rows), len(ops)), dtype=complex)
     for col, op in enumerate(ops):
-        for word, coeff in op.terms.items():
-            mat[index[word], col] = coeff
+        for code, coeff in op.items():
+            mat[rows[code], col] = coeff
     return mat
 
 
@@ -152,15 +165,17 @@ def solve_reflection_matrix(model: Model) -> ReflectionMatrix:
         empty = np.zeros((0, 0))
         return ReflectionMatrix(empty, 0.0, 0.0, 0.0, 0.0)
 
-    adjoints = [lm.dagger() for lm in model.lindblads]
-    targets_u = [-(model.u @ lm @ model.u) for lm in model.lindblads]
-    targets_w = [model.w @ lm @ model.w for lm in model.lindblads]
+    # the terms of L_m^dag, -U L_m U and W L_m W keyed by word code; the rows
+    # are the codes in the order of their words
+    adjoints = [_code_terms(lm.dagger()) for lm in model.lindblads]
+    targets_u = [{code: -v for code, v in _conjugation(model.u, lm).items()}
+                 for lm in model.lindblads]
+    targets_w = [_conjugation(model.w, lm) for lm in model.lindblads]
 
-    words = sorted(
-        set().union(*(op.terms.keys() for op in adjoints + targets_u + targets_w))
-    )
-    phi = _coefficient_matrix(adjoints, words)
-    rhs = np.vstack([_coefficient_matrix(targets_u, words), _coefficient_matrix(targets_w, words)])
+    codes = _in_word_order(set().union(*adjoints, *targets_u, *targets_w), model.n)
+    rows = {code: i for i, code in enumerate(codes)}
+    phi = _coefficient_matrix(adjoints, rows)
+    rhs = np.vstack([_coefficient_matrix(targets_u, rows), _coefficient_matrix(targets_w, rows)])
     # stacking [phi; phi] scales every singular value by sqrt(2), not their ratio
     design = np.vstack([phi, phi])
     if not (np.all(np.isfinite(design)) and np.all(np.isfinite(rhs))):

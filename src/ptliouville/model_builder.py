@@ -99,7 +99,7 @@ def validate_spec(spec: ModelSpec) -> None:
         j, k = cpl[0], cpl[1]
         if not (0 <= j < k < spec.n):
             raise ModelConfigError(
-                f"coupling sites ({j},{k}) must satisfy 0 <= j < k < n={spec.n}"
+                f"couplings[{i}]: sites ({j},{k}) must satisfy 0 <= j < k < n={spec.n}"
             )
         if (j, k) in seen:
             raise ModelConfigError(f"duplicate coupling pair ({j},{k})")
@@ -143,7 +143,7 @@ def build_example1(spec: ModelSpec) -> Model:
     if not spec._validated:
         validate_spec(spec)
     if not isinstance(spec.noise, Dephasing):
-        raise ModelConfigError("example-1 build requires dephasing noise")
+        raise ModelConfigError("noise: the example-1 build requires dephasing noise")
     n = spec.n
     h = _hamiltonian(n, spec.couplings, spec.fields)
     lindblads = []
@@ -166,7 +166,7 @@ def build_example2(spec: ModelSpec) -> Model:
     if not spec._validated:
         validate_spec(spec)
     if not isinstance(spec.noise, Injection):
-        raise ModelConfigError("example-2 build requires injection noise")
+        raise ModelConfigError("noise: the example-2 build requires injection noise")
     if spec.fields and any(f != 0 for f in spec.fields):
         raise ModelConfigError("example-2 models admit no field terms")
     n = spec.n
@@ -222,11 +222,13 @@ def _apply_custom(base: Model, parts: CustomParts) -> Model:
         h = h + parts.h_extra
     supplied = [f"custom.{name}" for name in ("h", "h_extra") if getattr(parts, name) is not None]
     require_hermitian(h, " + ".join(supplied))
+    for name in ("lindblads", "lindblads_extra"):
+        for i, lm in enumerate(getattr(parts, name) or ()):
+            if lm.n != n:
+                raise ModelConfigError(
+                    f"custom.{name}[{i}]: operator acts on {lm.n} sites, model has {n}")
     lindblads = list(parts.lindblads if parts.lindblads is not None else base.lindblads)
     lindblads.extend(parts.lindblads_extra)
-    for lm in lindblads:
-        if lm.n != n:
-            raise ModelConfigError(f"custom lindblad acts on {lm.n} sites, model has {n}")
     lindblads = [lm for lm in lindblads if lm.terms]
     u = parts.u if parts.u is not None else base.u
     w = parts.w if parts.w is not None else base.w
@@ -385,6 +387,9 @@ def parse_model_config(text: str) -> ModelSpec:
         raw_fields = ham["fields_x"]
         if not isinstance(raw_fields, list):
             raise ModelConfigError("hamiltonian.fields_x: expected an array")
+        if len(raw_fields) != n:
+            raise ModelConfigError(
+                f"hamiltonian.fields_x: expected {n} entries, got {len(raw_fields)}")
         fields = tuple(
             _as_number(v, f"hamiltonian.fields_x[{i}]") for i, v in enumerate(raw_fields)
         )

@@ -23,9 +23,18 @@ word a ^ b with phase
 each |.| a popcount.  A digit never has bits 2 and 3 set, so
 ``code & (code >> 1)`` holds exactly the Y sites and ``(a >> 1) & b`` the
 sites where a has a Z part and b an X part, with no masks.  The phase
-exponent is odd exactly when the two words anticommute.  Operator products
-encode each term once and decode only the words that survive pruning; the
-``str`` word stays the key of ``PauliOperator.terms``.
+exponent is odd exactly when the two words anticommute.
+
+An operator's codes are encoded once, on first use, and kept with it; every
+arithmetic result (``@``, ``+``, ``-``, commutators, ``dagger()``, scalar
+multiples) is built together with its codes, so no result is encoded again.
+A product with a one-term factor maps words one to one, so it is a signed
+relabel: each code has one pair, whose value is normalised as ``0j + v``,
+exactly the sum the general path forms.  Only the words that survive pruning
+are decoded; the ``str`` word stays the key of ``PauliOperator.terms``.  The
+certification checks read their norms and coefficient vectors straight
+from the codes (``_identity_defect``, ``_commutator_norm``, ``_conjugation``)
+and decode nothing.
 """
 
 from __future__ import annotations
@@ -80,20 +89,21 @@ def _check_word(word: str, n: int) -> None:
     _check_letters(word)
 
 
-def _encoded(terms: Iterable[tuple[str, complex]]) -> list[tuple[int, int, int, complex]]:
-    """(code, code >> 1, Y count, coefficient) of each (word, coefficient) term, in order."""
-    out = []
-    for word, coeff in terms:
-        code = int(word.translate(_ENCODE), 16)
-        shifted = code >> 1
-        out.append((code, shifted, (code & shifted).bit_count(), coeff))
-    return out
+def _entry(code: int, value: complex) -> tuple[int, int, int, complex]:
+    """(code, code >> 1, Y count, value): the form every product reads a term in."""
+    shifted = code >> 1
+    return code, shifted, (code & shifted).bit_count(), value
+
+
+def _encode(terms: Iterable[tuple[str, complex]]) -> list[tuple[int, int, int, complex]]:
+    """The ``_entry`` of each (word, coefficient) term, in order."""
+    return [_entry(int(word.translate(_ENCODE), 16), coeff) for word, coeff in terms]
 
 
 def _pair_products(a: list, b: list) -> list[tuple[int, complex, int]]:
     """(code, value, phase exponent) of the product of each term pair of a and b, a-major.
 
-    ``a`` and ``b`` are ``_encoded`` terms; a_i @ b_j = value * word(code).
+    ``a`` and ``b`` are ``_entry`` lists; a_i @ b_j = value * word(code).
     The exponent is odd exactly when the two words anticommute.
     """
     out = []
@@ -114,8 +124,25 @@ def _summed(pairs) -> dict[int, complex]:
     return acc
 
 
+def _product(a: list, b: list) -> dict[int, complex]:
+    """Code-keyed sums of a @ b before pruning, for ``_entry`` lists a and b.
+
+    With a one-term factor every pair has its own code (x -> c ^ x is one to
+    one), so the sum of each is the signed relabel 0j + value.
+    """
+    pairs = _pair_products(a, b)
+    if len(a) == 1 or len(b) == 1:
+        return {code: 0j + value for code, value, _ in pairs}
+    return _summed(pairs)
+
+
 def _pruned(acc: dict) -> dict:
     return {key: value for key, value in acc.items() if abs(value) >= PRUNE_TOL}
+
+
+def _entries(acc: dict[int, complex]) -> list[tuple[int, int, int, complex]]:
+    """The ``_entry`` of each code-keyed sum that survives pruning."""
+    return [_entry(code, value) for code, value in acc.items() if abs(value) >= PRUNE_TOL]
 
 
 def _merged(a: dict, b: dict, subtract: bool) -> dict:
@@ -126,13 +153,14 @@ def _merged(a: dict, b: dict, subtract: bool) -> dict:
     return out
 
 
-def _decoded(n: int, acc: dict[int, complex]) -> "PauliOperator":
-    """The operator of code-keyed sums; only the words that survive pruning are decoded."""
+def _max_norm(acc: dict) -> float:
+    """``max_norm()`` of the operator of code-keyed sums, without forming it."""
+    return max((abs(v) for v in acc.values() if abs(v) >= PRUNE_TOL), default=0.0)
+
+
+def _decoder(n: int):
     spec = f"0{n}x"
-    return PauliOperator._canonical(n, {
-        format(code, spec).translate(_DECODE): value
-        for code, value in acc.items() if abs(value) >= PRUNE_TOL
-    })
+    return lambda code: format(code, spec).translate(_DECODE)
 
 
 def product_terms(a: "PauliOperator", b: "PauliOperator") -> dict[str, complex]:
@@ -141,10 +169,9 @@ def product_terms(a: "PauliOperator", b: "PauliOperator") -> dict[str, complex]:
     For callers whose exact cancellations need the tiny terms as well.
     """
     _same_sites(a, b, "multiply")
-    pairs = _pair_products(_encoded(a.terms.items()), _encoded(b.terms.items()))
-    spec = f"0{a.n}x"
-    return {format(code, spec).translate(_DECODE): value
-            for code, value in _summed(pairs).items() if value}
+    word = _decoder(a.n)
+    return {word(code): value for code, value in _product(a._encoded(), b._encoded()).items()
+            if value}
 
 
 def string_mul(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
@@ -162,8 +189,8 @@ def string_mul(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
         _check_letters(word)
     if not a:
         return _PHASES[0], ""
-    [(code, _, k)] = _pair_products(_encoded([(a, 1)]), _encoded([(b, 1)]))
-    return _PHASES[k], format(code, f"0{len(a)}x").translate(_DECODE)
+    [(code, _, k)] = _pair_products(_encode([(a, 1)]), _encode([(b, 1)]))
+    return _PHASES[k], _decoder(len(a))(code)
 
 
 class PauliOperator:
@@ -171,10 +198,12 @@ class PauliOperator:
 
     Value semantics: instances are never mutated after construction, so they
     are safe to share across threads.  ``terms`` maps each word to its
-    complex coefficient; the zero operator has an empty map.
+    complex coefficient; the zero operator has an empty map.  The word codes
+    of the terms are kept as well, computed on first use (``_encoded``); two
+    threads that race there both store equal lists.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_codes")
 
     def __init__(self, n: int, terms: Optional[Mapping[str, complex]] = None):
         _check_qubits(n)
@@ -185,6 +214,7 @@ class PauliOperator:
                 raise ValueError(f"coefficient of {word!r} is not finite: {coeff!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", self._canonical(n, terms).terms)
+        object.__setattr__(self, "_codes", None)
 
     @classmethod
     def _canonical(cls, n: int, terms: Mapping[str, complex]) -> "PauliOperator":
@@ -194,10 +224,39 @@ class PauliOperator:
             c = complex(coeff)
             if abs(c) >= PRUNE_TOL:
                 clean[word] = c
+        return cls._made(n, clean, None)
+
+    @classmethod
+    def _made(cls, n: int, terms: dict, codes: Optional[list]) -> "PauliOperator":
+        """The operator of canonical terms with their ``_entry`` list, or None to encode later."""
         op = object.__new__(cls)
         object.__setattr__(op, "n", n)
-        object.__setattr__(op, "terms", clean)
+        object.__setattr__(op, "terms", terms)
+        object.__setattr__(op, "_codes", codes)
         return op
+
+    @classmethod
+    def _from_sums(cls, n: int, acc: dict[int, complex]) -> "PauliOperator":
+        """The operator of code-keyed sums; only the words that survive pruning are decoded."""
+        codes = _entries(acc)
+        word = _decoder(n)
+        return cls._made(n, {word(code): value for code, _, _, value in codes}, codes)
+
+    def _encoded(self) -> list[tuple[int, int, int, complex]]:
+        """The ``_entry`` of each term, in term order: encoded once, then kept."""
+        if self._codes is None:
+            object.__setattr__(self, "_codes", _encode(self.terms.items()))
+        return self._codes
+
+    def _mapped(self, f) -> "PauliOperator":
+        """Each coefficient c replaced by complex(f(c)), then pruned; words and codes are kept."""
+        terms, codes = {}, []
+        for word, (code, shifted, y, coeff) in zip(self.terms, self._encoded()):
+            value = complex(f(coeff))
+            if abs(value) >= PRUNE_TOL:
+                terms[word] = value
+                codes.append((code, shifted, y, value))
+        return PauliOperator._made(self.n, terms, codes)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("PauliOperator is immutable")
@@ -239,7 +298,7 @@ class PauliOperator:
         if not isinstance(other, PauliOperator):
             return NotImplemented
         _same_sites(self, other, "add")
-        return PauliOperator._canonical(self.n, _merged(self.terms, other.terms, False))
+        return PauliOperator._from_sums(self.n, _merged(_code_terms(self), _code_terms(other), False))
 
     def __radd__(self, other):
         if other == 0:  # lets sum() start from 0
@@ -251,13 +310,13 @@ class PauliOperator:
         if not isinstance(other, PauliOperator):
             return NotImplemented
         _same_sites(self, other, "add")
-        return PauliOperator._canonical(self.n, _merged(self.terms, other.terms, True))
+        return PauliOperator._from_sums(self.n, _merged(_code_terms(self), _code_terms(other), True))
 
     def __neg__(self) -> "PauliOperator":
-        return PauliOperator._canonical(self.n, {w: -c for w, c in self.terms.items()})
+        return self._mapped(lambda c: -c)
 
     def __mul__(self, scalar: complex) -> "PauliOperator":
-        return PauliOperator._canonical(self.n, {w: c * scalar for w, c in self.terms.items()})
+        return self._mapped(lambda c: c * scalar)
 
     __rmul__ = __mul__
 
@@ -265,12 +324,11 @@ class PauliOperator:
         if not isinstance(other, PauliOperator):
             return NotImplemented
         _same_sites(self, other, "multiply")
-        pairs = _pair_products(_encoded(self.terms.items()), _encoded(other.terms.items()))
-        return _decoded(self.n, _summed(pairs))
+        return PauliOperator._from_sums(self.n, _product(self._encoded(), other._encoded()))
 
     def dagger(self) -> "PauliOperator":
         """Hermitian adjoint: Pauli words are self-adjoint, so conjugate coefficients."""
-        return PauliOperator._canonical(self.n, {w: c.conjugate() for w, c in self.terms.items()})
+        return self._mapped(complex.conjugate)
 
     # ---- comparison / display ----
 
@@ -291,23 +349,39 @@ def _same_sites(a: PauliOperator, b: PauliOperator, verb: str) -> None:
         raise DimensionError(f"cannot {verb} operators on {a.n} and {b.n} sites")
 
 
-def _two_sided(a: PauliOperator, b: PauliOperator, anti: bool) -> PauliOperator:
-    """a @ b - b @ a, or a @ b + b @ a when ``anti``, from one pass over the term pairs.
+def _two_sided_sums(a: list, b: list, anti: bool) -> dict[int, complex]:
+    """Code-keyed sums of a @ b - b @ a, or a @ b + b @ a when ``anti``, from one pass over the pairs.
 
     A pair's b @ a term has the a @ b word, and its value is negated when the
     words anticommute.  Each product is summed in its own pair order (a-major,
     b-major) and pruned, and the two are then combined as __sub__ / __add__
     combine them, so the coefficients and key order are bitwise those of
-    ``a @ b - b @ a`` (or ``+``) evaluated step by step.
+    ``a @ b - b @ a`` (or ``+``) evaluated step by step.  With a one-term
+    factor both products are relabels in one code order, and the two values
+    of a pair have one magnitude, so they are pruned or kept together.
     """
+    pairs = _pair_products(a, b)
+    if len(a) == 1 or len(b) == 1:
+        out = {}
+        for code, value, k in pairs:
+            # a commuting pair cancels in a commutator, an anticommuting one in
+            # an anticommutator, to 0 or nan, which pruning drops
+            if k & 1 != anti:
+                ab, ba = 0j + value, 0j + (-value if k & 1 else value)
+                if abs(ab) >= PRUNE_TOL:
+                    out[code] = ab + ba if anti else ab - ba
+        return out
+    nb = len(b)
+    ba = [(c, -v if k & 1 else v, k) for j in range(nb) for c, v, k in pairs[j::nb]]
+    return _merged(_pruned(_summed(pairs)), _pruned(_summed(ba)), not anti)
+
+
+def _two_sided(a: PauliOperator, b: PauliOperator, anti: bool) -> PauliOperator:
     for op in (a, b):
         if not isinstance(op, PauliOperator):
             raise TypeError(f"expected a PauliOperator, got {type(op).__name__}")
     _same_sites(a, b, "multiply")
-    pairs = _pair_products(_encoded(a.terms.items()), _encoded(b.terms.items()))
-    nb = len(b.terms)
-    ba = [(c, -v if k & 1 else v, k) for j in range(nb) for c, v, k in pairs[j::nb]]
-    return _decoded(a.n, _merged(_pruned(_summed(pairs)), _pruned(_summed(ba)), not anti))
+    return PauliOperator._from_sums(a.n, _two_sided_sums(a._encoded(), b._encoded(), anti))
 
 
 def commutator(a: PauliOperator, b: PauliOperator) -> PauliOperator:
@@ -316,6 +390,39 @@ def commutator(a: PauliOperator, b: PauliOperator) -> PauliOperator:
 
 def anticommutator(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     return _two_sided(a, b, anti=True)
+
+
+# ---- code-level reads for the certification checks: no word is decoded ----
+
+
+def _code_terms(op: PauliOperator) -> dict[int, complex]:
+    """The terms of ``op`` keyed by word code, in term order."""
+    return {code: value for code, _, _, value in op._encoded()}
+
+
+def _identity_defect(a: PauliOperator, b: PauliOperator) -> float:
+    """``(a @ b - identity).max_norm()``; the identity's code is 0."""
+    product = _pruned(_product(a._encoded(), b._encoded()))
+    return _max_norm(_merged(product, {0: complex(1.0)}, True))
+
+
+def _commutator_norm(a: PauliOperator, b: PauliOperator) -> float:
+    """``commutator(a, b).max_norm()``."""
+    return _max_norm(_two_sided_sums(a._encoded(), b._encoded(), False))
+
+
+def _conjugation(p: PauliOperator, a: PauliOperator) -> dict[int, complex]:
+    """The code-keyed terms of ``p @ a @ p``, pruned after each product as ``@`` prunes."""
+    return _pruned(_product(_entries(_product(p._encoded(), a._encoded())), p._encoded()))
+
+
+def _in_word_order(codes: Iterable[int], n: int) -> list[int]:
+    """Codes sorted as ``sorted_terms`` sorts their words (I < X < Y < Z).
+
+    Z and Y are 2 and 3 as digits, so a digit's Z bit flips its X bit in the key.
+    """
+    x_bits = (16 ** n - 1) // 15  # bit 0 of every digit
+    return sorted(codes, key=lambda code: code ^ ((code >> 1) & x_bits))
 
 
 def as_identity_multiple(a: PauliOperator) -> Optional[complex]:

@@ -33,14 +33,11 @@ from functools import reduce
 import numpy as np
 
 from .model_builder import Model, require_hermitian
-from .pauli_algebra import PAULI_LETTERS, PauliOperator, product_terms, string_mul
+from .pauli_algebra import _PHASES, PAULI_LETTERS, PauliOperator, product_terms, string_mul
 
-_SITE = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+# A word's X-part bits and Z-part bits, one binary digit per site.
+_X_PART = str.maketrans("IXYZ", "0110")
+_Z_PART = str.maketrans("IXYZ", "0011")
 
 # _PHASE[l, a, r] is the phase of the single-letter product l a r, in the
 # letter codes, whose letter is l ^ a ^ r.
@@ -91,11 +88,24 @@ class SuperOp:
 
 
 def pauli_to_dense(op: PauliOperator) -> np.ndarray:
-    """Dense 2^n x 2^n image of a Pauli operator."""
+    """Dense 2^n x 2^n image of a Pauli operator.
+
+    A word is i^#Y X^x Z^z for its X-part bits x and Z-part bits z (X or Y,
+    Z or Y; first site most significant), so it sends basis state c to
+    i^#Y (-1)^|c & z| times state c ^ x: a signed permutation, one entry per
+    column.  Each entry is a sum over the terms in term order, so the matrix
+    is bitwise that of summing each term's Kronecker product.
+    """
     dim = 2 ** op.n
     out = np.zeros((dim, dim), dtype=complex)
+    cols = np.arange(dim)
+    # signs[c] = (-1)^|c| for every basis index c, |c| its popcount
+    signs = np.ones(dim)
+    for bit in range(op.n):
+        signs[1 << bit:2 << bit] = -signs[:1 << bit]
     for word, coeff in op.terms.items():
-        out += coeff * reduce(np.kron, (_SITE[ch] for ch in word))
+        x, z = int(word.translate(_X_PART), 2), int(word.translate(_Z_PART), 2)
+        out[cols ^ x, cols] += coeff * _PHASES[word.count("Y") % 4] * signs[cols & z]
     return out
 
 

@@ -59,6 +59,39 @@ NON_HERMITIAN_H = {
 UNCERTIFIED_N2 = {**EXAMPLE1_N2, "custom": {"h_extra": [{"word": "ZI", "coeff": 0.5}]}}
 
 
+# The family-2 model jx, jy, jz = 1, 0.5, 0.25; a = (0.5, 0.7), b = (0.3, 0.2)
+# with site 0 rotated about Z (X -> 0.6 X + 0.8 Y, Y -> -0.8 X + 0.6 Y).  U and
+# W are two-word sums, as are H's rotated couplings and the channels, so every
+# certification product takes the general path and rounds.
+ROTATED_EXAMPLE2_N2 = {
+    "n": 2,
+    "custom": {
+        "h": [{"word": "XX", "coeff": 0.6}, {"word": "YX", "coeff": 0.8},
+              {"word": "XY", "coeff": -0.4}, {"word": "YY", "coeff": 0.3},
+              {"word": "ZZ", "coeff": 0.25}],
+        "lindblads": [
+            [{"word": "XI", "coeff": [0.15, -0.2]}, {"word": "YI", "coeff": [0.2, 0.15]}],
+            [{"word": "XI", "coeff": [0.09, 0.12]}, {"word": "YI", "coeff": [0.12, -0.09]}],
+            [{"word": "IX", "coeff": 0.35}, {"word": "IY", "coeff": [0, 0.35]}],
+            [{"word": "IX", "coeff": 0.1}, {"word": "IY", "coeff": [0, -0.1]}],
+        ],
+        "u": [{"word": "XY", "coeff": -0.8}, {"word": "YY", "coeff": 0.6}],
+        "w": [{"word": "XX", "coeff": 0.6}, {"word": "YX", "coeff": 0.8}],
+    },
+}
+
+# check's stdout on ROTATED_EXAMPLE2_N2 without "Z" and its four z_ residuals:
+# those come from LAPACK's least squares, whose last bits depend on the BLAS
+# build; everything else is Pauli algebra in Python floats.
+ROTATED_CHECK = (
+    '{"cond_i": true, "cond_ii": true, "cond_iii": true, "overall": true, '
+    '"c": [0.25, 0.089999999999999997, 0.48999999999999994, 0.040000000000000008], '
+    '"residuals": {"u_unitary": 0, "u_involution": 0, "w_unitary": 0, "w_involution": 0, '
+    '"hu_commutator": 0, "hw_commutator": 0, "c_imag_max": 0}, '
+    '"pt_residual": 1.0049263209580123e-16}'
+)
+
+
 def write_model(tmp_path, doc, name="model.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -109,6 +142,15 @@ class TestCheck:
 
     # a numpy RuntimeWarning would print lines on stderr
     @pytest.mark.filterwarnings("error")
+    def test_multi_term_parities_pinned(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "check", "--model", write_model(tmp_path, ROTATED_EXAMPLE2_N2))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert np.max(np.abs(np.array(doc.pop("Z")) - np.eye(4))) < 1e-15
+        for key in ("z_fit", "z_orth", "z_invol", "z_imag"):
+            assert doc["residuals"].pop(key) < 1e-15
+        assert dumps_canonical(doc) == ROTATED_CHECK
+
     def test_huge_finite_rate_fails_without_error(self, tmp_path, capsys):
         path = write_model(tmp_path, HUGE_RATE)
         code, out, err = run_cli(capsys, "check", "--model", path)

@@ -484,7 +484,9 @@ INPUT_ERRORS = {
     "fields-object": (_parsed(_doc(hamiltonian={"fields_x": {"0": 0.5}})),
                       "hamiltonian.fields_x: expected an array"),
     "fields-length": (_parsed(_doc(hamiltonian={"fields_x": [0.5]})),
-                      "fields: expected 2 entries, got 1"),
+                      "hamiltonian.fields_x: expected 2 entries, got 1"),
+    "coupling-range": (_parsed(_doc(**_coupling(i=1, j=2, jx=1.0))),
+                       "couplings[0]: sites (1,2) must satisfy 0 <= j < k < n=2"),
     "noise-string": (_parsed({"n": 1, "noise": "dephasing"}), "noise: expected an object"),
     "string-rate": (_parsed({"n": 1, "noise": {"type": "dephasing", "gammas": ["0.5"]}}),
                     "noise.gammas[0]: expected a real or [re, im] pair"),
@@ -504,11 +506,17 @@ INPUT_ERRORS = {
                          "custom.lindblads: expected an array of operators"),
     "spec-zero-n": (partial(build_model, ModelSpec(n=0)), "n must be a positive integer, got 0"),
     "example2-dephasing": (partial(build_example2, ModelSpec(n=1, noise=Dephasing((0.5,)))),
-                           "example-2 build requires injection noise"),
+                           "noise: the example-2 build requires injection noise"),
+    "example1-injection": (partial(build_example1, ModelSpec(n=1, noise=Injection((0.5,), (0.5,)))),
+                           "noise: the example-1 build requires dephasing noise"),
     "custom-channel-sites": (
         partial(build_model, ModelSpec(n=2, noise=Dephasing((0.2, 0.4)), custom=CustomParts(
             lindblads_extra=(PauliOperator.term("Z"),)))),
-        "custom lindblad acts on 1 sites, model has 2"),
+        "custom.lindblads_extra[0]: operator acts on 1 sites, model has 2"),
+    "custom-replaced-channel-sites": (
+        partial(build_model, ModelSpec(n=2, noise=Dephasing((0.2, 0.4)), custom=CustomParts(
+            lindblads=(PauliOperator.term("ZZ"), PauliOperator.term("Z"))))),
+        "custom.lindblads[1]: operator acts on 1 sites, model has 2"),
 }
 
 

@@ -1,3 +1,4 @@
+import json
 import re
 from functools import partial
 
@@ -16,7 +17,8 @@ from ptliouville import (
     sigma_plus,
     string_mul,
 )
-from ptliouville.pauli_algebra import product_terms
+from ptliouville.model_builder import parse_model_config
+from ptliouville.pauli_algebra import _encode, _in_word_order, product_terms
 
 from _corpus import random_example1_spec, random_example2_spec
 from _oracles import (
@@ -266,6 +268,94 @@ class TestReferenceProducts:
         for lm in model.lindblads[:4]:
             self.assert_pinned(lm, lm.dagger())
             self.assert_pinned(u @ lm, u)
+
+
+class TestOneTermProducts:
+    """A one-term factor is a signed relabel; it must equal the step-by-step products bit for bit."""
+
+    # coefficients of the one-term factor, signed zeros among their parts; each
+    # is below 1, so that the other factor's near-cut coefficients are not pruned
+    SINGLES = (0.5, -0.5, 0.5j, complex(-0.0, 0.5), complex(0.5, -0.0), complex(-0.0, -0.0) + 0.25,
+               0.3 - 0.4j, 1e-7, -2e-7j)
+
+    def test_products_near_the_pruning_cut(self):
+        # the other factor's coefficients put each product within 1e-9 (relative)
+        # of PRUNE_TOL, on both sides, or near 1
+        rng = np.random.default_rng(29)
+        kept = pruned = 0
+        for n in range(1, 5):
+            for single in self.SINGLES * 3:
+                words = ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(6)]
+                a = PauliOperator(n, {words[0]: single})
+                terms = {}
+                for word in words:
+                    scale = rng.choice([PRUNE_TOL / abs(single), 1.0])
+                    value = scale * (1 + rng.choice([-1e-9, 1e-9])) * rng.choice([1, -1, 1j, -1j])
+                    terms[word] = (value, complex(-0.0, value.imag), complex(value.real, -0.0),
+                                   -value)[int(rng.integers(4))]
+                b = PauliOperator(n, terms)
+                TestReferenceProducts.assert_pinned(a, b)
+                TestReferenceProducts.assert_pinned(b, a)
+                near = [abs(c) for c in reference_product(a.terms, b.terms, 0.0).values()
+                        if abs(c) < 2 * PRUNE_TOL]
+                kept += sum(c >= PRUNE_TOL for c in near)
+                pruned += sum(c < PRUNE_TOL for c in near)
+        assert kept > 40 and pruned > 40
+
+    def test_dephasing_channels(self):
+        model = build_model(random_example1_spec(np.random.default_rng(3), 5))
+        for lm in model.lindblads:
+            assert len(lm.terms) == 1
+            for other in (lm.dagger(), model.u, model.hamiltonian):
+                TestReferenceProducts.assert_pinned(lm, other)
+                TestReferenceProducts.assert_pinned(other, lm)
+
+
+def hex_codes(codes):
+    return [(code, shifted, y, v.real.hex(), v.imag.hex()) for code, shifted, y, v in codes]
+
+
+class TestMemoizedCodes:
+    """The codes an operator keeps equal a fresh encoding of its terms."""
+
+    @staticmethod
+    def assert_fresh(op):
+        assert hex_codes(op._encoded()) == hex_codes(_encode(op.terms.items()))
+
+    def test_arithmetic_results_carry_their_codes(self):
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 3, 6):
+            for n_terms in (0, 1, 1, 3, 5):
+                a, b = random_operator(rng, n, n_terms), random_operator(rng, n, 4)
+                results = (a @ b, b @ a, a + b, a - b, b - a, -a, a * (0.5 - 2j), a * 1e-14,
+                           a.dagger(), commutator(a, b), anticommutator(b, a))
+                for op in results:
+                    assert op._codes is not None
+                    self.assert_fresh(op)
+
+    def test_built_and_parsed_operators(self):
+        for make in (random_example1_spec, random_example2_spec):
+            model = build_model(make(np.random.default_rng(37), 4))
+            for op in (model.hamiltonian, model.u, model.w, *model.lindblads):
+                self.assert_fresh(op)
+        doc = {"n": 2, "custom": {
+            "h": [{"word": "XX", "coeff": 0.5}, {"word": "ZY", "coeff": -1.0}],
+            "lindblads": [[{"word": "XI", "coeff": [0.1, 0.2]}, {"word": "YI", "coeff": [0.0, -0.3]}]],
+            "u": [{"word": "XX", "coeff": 1.0}], "w": [{"word": "II", "coeff": 1.0}]}}
+        parts = parse_model_config(json.dumps(doc)).custom
+        for op in (parts.h, *parts.lindblads, parts.u, parts.w):
+            assert op._codes is None  # encoded on first use
+            self.assert_fresh(op)
+            assert op._codes is not None
+
+
+def test_codes_sort_in_word_order():
+    # condition (ii) orders its least-squares rows by word; codes order Z before Y
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3, 8, 33):
+        words = {"".join(rng.choice(list("IXYZ"), size=n)) for _ in range(40)}
+        by_code = {code: word for word, (code, *_) in zip(words, _encode((w, 1) for w in words))}
+        assert [by_code[c] for c in _in_word_order(by_code, n)] == sorted(words)
 
 
 # Qubit counts and sites that no other test rejects, each with the text its

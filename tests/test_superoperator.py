@@ -78,6 +78,16 @@ class TestPauliToDense:
             op = PauliOperator(n, terms)
             assert np.max(np.abs(pauli_to_dense(op) - dense_operator(op))) < 1e-14
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_family_operators_bitwise(self, n):
+        # the signed permutations add each term where the Kronecker chains do,
+        # in term order, so every entry agrees to the bit
+        for make in (random_example1_spec, random_example2_spec):
+            model = build_model(make(np.random.default_rng(n), n))
+            uncertified = model.hamiltonian + PauliOperator.single("Z", 0, n, 0.5)
+            for op in (model.hamiltonian, model.u, model.w, *model.lindblads, uncertified):
+                assert pauli_to_dense(op).tobytes() == dense_operator(op).tobytes()
+
 
 class TestBuildLiouvillian:
     def test_pure_commutator_spectrum(self):
