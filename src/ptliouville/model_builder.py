@@ -387,7 +387,7 @@ def parse_model_config(text: str) -> ModelSpec:
         raw_fields = ham["fields_x"]
         if not isinstance(raw_fields, list):
             raise ModelConfigError("hamiltonian.fields_x: expected an array")
-        if len(raw_fields) != n:
+        if raw_fields and len(raw_fields) != n:  # [] means zero fields, as omitting it does
             raise ModelConfigError(
                 f"hamiltonian.fields_x: expected {n} entries, got {len(raw_fields)}")
         fields = tuple(

@@ -28,13 +28,12 @@ exponent is odd exactly when the two words anticommute.
 An operator's codes are encoded once, on first use, and kept with it; every
 arithmetic result (``@``, ``+``, ``-``, commutators, ``dagger()``, scalar
 multiples) is built together with its codes, so no result is encoded again.
-A product with a one-term factor maps words one to one, so it is a signed
-relabel: each code has one pair, whose value is normalised as ``0j + v``,
-exactly the sum the general path forms.  Only the words that survive pruning
-are decoded; the ``str`` word stays the key of ``PauliOperator.terms``.  The
-certification checks read their norms and coefficient vectors straight
-from the codes (``_identity_defect``, ``_commutator_norm``, ``_conjugation``)
-and decode nothing.
+A product with a one-term factor (a parity string, a dephasing channel)
+maps words one to one, a signed relabel, so each code has exactly one pair;
+a commutator with such a factor skips the pairs that cancel.  Only the words
+that survive pruning are decoded; the ``str`` word stays the key of
+``PauliOperator.terms``.  Condition (ii) reads its conjugations ``p @ a @ p``
+straight from the codes (``_conjugation``), in word order, and decodes nothing.
 """
 
 from __future__ import annotations
@@ -124,18 +123,6 @@ def _summed(pairs) -> dict[int, complex]:
     return acc
 
 
-def _product(a: list, b: list) -> dict[int, complex]:
-    """Code-keyed sums of a @ b before pruning, for ``_entry`` lists a and b.
-
-    With a one-term factor every pair has its own code (x -> c ^ x is one to
-    one), so the sum of each is the signed relabel 0j + value.
-    """
-    pairs = _pair_products(a, b)
-    if len(a) == 1 or len(b) == 1:
-        return {code: 0j + value for code, value, _ in pairs}
-    return _summed(pairs)
-
-
 def _pruned(acc: dict) -> dict:
     return {key: value for key, value in acc.items() if abs(value) >= PRUNE_TOL}
 
@@ -153,9 +140,27 @@ def _merged(a: dict, b: dict, subtract: bool) -> dict:
     return out
 
 
-def _max_norm(acc: dict) -> float:
-    """``max_norm()`` of the operator of code-keyed sums, without forming it."""
-    return max((abs(v) for v in acc.values() if abs(v) >= PRUNE_TOL), default=0.0)
+def _code_terms(op: "PauliOperator") -> dict[int, complex]:
+    """The terms of ``op`` keyed by word code, in term order."""
+    return {code: value for code, _, _, value in op._encoded()}
+
+
+def _conjugation(p: "PauliOperator", a: "PauliOperator") -> dict[int, complex]:
+    """The code-keyed terms of ``p @ a @ p``, pruned after each product as ``@`` prunes.
+
+    Condition (ii) reads its least-squares columns from these; no word is decoded.
+    """
+    inner = _entries(_summed(_pair_products(p._encoded(), a._encoded())))
+    return _pruned(_summed(_pair_products(inner, p._encoded())))
+
+
+def _in_word_order(codes: Iterable[int], n: int) -> list[int]:
+    """Codes sorted as ``sorted_terms`` sorts their words (I < X < Y < Z).
+
+    Z and Y are 2 and 3 as digits, so a digit's Z bit flips its X bit in the key.
+    """
+    x_bits = (16 ** n - 1) // 15  # bit 0 of every digit
+    return sorted(codes, key=lambda code: code ^ ((code >> 1) & x_bits))
 
 
 def _decoder(n: int):
@@ -170,8 +175,8 @@ def product_terms(a: "PauliOperator", b: "PauliOperator") -> dict[str, complex]:
     """
     _same_sites(a, b, "multiply")
     word = _decoder(a.n)
-    return {word(code): value for code, value in _product(a._encoded(), b._encoded()).items()
-            if value}
+    sums = _summed(_pair_products(a._encoded(), b._encoded()))
+    return {word(code): value for code, value in sums.items() if value}
 
 
 def string_mul(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
@@ -324,7 +329,7 @@ class PauliOperator:
         if not isinstance(other, PauliOperator):
             return NotImplemented
         _same_sites(self, other, "multiply")
-        return PauliOperator._from_sums(self.n, _product(self._encoded(), other._encoded()))
+        return PauliOperator._from_sums(self.n, _summed(_pair_products(self._encoded(), other._encoded())))
 
     def dagger(self) -> "PauliOperator":
         """Hermitian adjoint: Pauli words are self-adjoint, so conjugate coefficients."""
@@ -349,19 +354,26 @@ def _same_sites(a: PauliOperator, b: PauliOperator, verb: str) -> None:
         raise DimensionError(f"cannot {verb} operators on {a.n} and {b.n} sites")
 
 
-def _two_sided_sums(a: list, b: list, anti: bool) -> dict[int, complex]:
-    """Code-keyed sums of a @ b - b @ a, or a @ b + b @ a when ``anti``, from one pass over the pairs.
+def _two_sided(a: PauliOperator, b: PauliOperator, anti: bool) -> PauliOperator:
+    """a @ b - b @ a, or a @ b + b @ a when ``anti``, from one pass over the term pairs.
 
     A pair's b @ a term has the a @ b word, and its value is negated when the
     words anticommute.  Each product is summed in its own pair order (a-major,
     b-major) and pruned, and the two are then combined as __sub__ / __add__
     combine them, so the coefficients and key order are bitwise those of
-    ``a @ b - b @ a`` (or ``+``) evaluated step by step.  With a one-term
-    factor both products are relabels in one code order, and the two values
-    of a pair have one magnitude, so they are pruned or kept together.
+    ``a @ b - b @ a`` (or ``+``) evaluated step by step.
+
+    With a one-term factor (``[H, U]`` for the families' parity strings) each
+    pair has its own code in one order for both products, and its two values
+    share a magnitude, so they are pruned together: the pairs that cancel
+    are skipped and the others combined directly, with the same sums 0j + v.
     """
-    pairs = _pair_products(a, b)
-    if len(a) == 1 or len(b) == 1:
+    for op in (a, b):
+        if not isinstance(op, PauliOperator):
+            raise TypeError(f"expected a PauliOperator, got {type(op).__name__}")
+    _same_sites(a, b, "multiply")
+    pairs = _pair_products(a._encoded(), b._encoded())
+    if len(a.terms) == 1 or len(b.terms) == 1:
         out = {}
         for code, value, k in pairs:
             # a commuting pair cancels in a commutator, an anticommuting one in
@@ -370,18 +382,11 @@ def _two_sided_sums(a: list, b: list, anti: bool) -> dict[int, complex]:
                 ab, ba = 0j + value, 0j + (-value if k & 1 else value)
                 if abs(ab) >= PRUNE_TOL:
                     out[code] = ab + ba if anti else ab - ba
-        return out
-    nb = len(b)
+        return PauliOperator._from_sums(a.n, out)
+    nb = len(b.terms)
     ba = [(c, -v if k & 1 else v, k) for j in range(nb) for c, v, k in pairs[j::nb]]
-    return _merged(_pruned(_summed(pairs)), _pruned(_summed(ba)), not anti)
-
-
-def _two_sided(a: PauliOperator, b: PauliOperator, anti: bool) -> PauliOperator:
-    for op in (a, b):
-        if not isinstance(op, PauliOperator):
-            raise TypeError(f"expected a PauliOperator, got {type(op).__name__}")
-    _same_sites(a, b, "multiply")
-    return PauliOperator._from_sums(a.n, _two_sided_sums(a._encoded(), b._encoded(), anti))
+    sums = _merged(_pruned(_summed(pairs)), _pruned(_summed(ba)), not anti)
+    return PauliOperator._from_sums(a.n, sums)
 
 
 def commutator(a: PauliOperator, b: PauliOperator) -> PauliOperator:
@@ -390,39 +395,6 @@ def commutator(a: PauliOperator, b: PauliOperator) -> PauliOperator:
 
 def anticommutator(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     return _two_sided(a, b, anti=True)
-
-
-# ---- code-level reads for the certification checks: no word is decoded ----
-
-
-def _code_terms(op: PauliOperator) -> dict[int, complex]:
-    """The terms of ``op`` keyed by word code, in term order."""
-    return {code: value for code, _, _, value in op._encoded()}
-
-
-def _identity_defect(a: PauliOperator, b: PauliOperator) -> float:
-    """``(a @ b - identity).max_norm()``; the identity's code is 0."""
-    product = _pruned(_product(a._encoded(), b._encoded()))
-    return _max_norm(_merged(product, {0: complex(1.0)}, True))
-
-
-def _commutator_norm(a: PauliOperator, b: PauliOperator) -> float:
-    """``commutator(a, b).max_norm()``."""
-    return _max_norm(_two_sided_sums(a._encoded(), b._encoded(), False))
-
-
-def _conjugation(p: PauliOperator, a: PauliOperator) -> dict[int, complex]:
-    """The code-keyed terms of ``p @ a @ p``, pruned after each product as ``@`` prunes."""
-    return _pruned(_product(_entries(_product(p._encoded(), a._encoded())), p._encoded()))
-
-
-def _in_word_order(codes: Iterable[int], n: int) -> list[int]:
-    """Codes sorted as ``sorted_terms`` sorts their words (I < X < Y < Z).
-
-    Z and Y are 2 and 3 as digits, so a digit's Z bit flips its X bit in the key.
-    """
-    x_bits = (16 ** n - 1) // 15  # bit 0 of every digit
-    return sorted(codes, key=lambda code: code ^ ((code >> 1) & x_bits))
 
 
 def as_identity_multiple(a: PauliOperator) -> Optional[complex]:

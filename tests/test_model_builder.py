@@ -175,6 +175,10 @@ class TestParseModelConfig:
         model = build_model(spec)
         assert model.hamiltonian == PauliOperator.term("X", 0.5)
 
+    def test_empty_fields_mean_zero(self):
+        text = '{"n":2,"hamiltonian":{"fields_x":[]},"noise":{"type":"dephasing","gammas":[0.2,0.3]}}'
+        assert parse_model_config(text).fields == ()
+
     def test_example2_roundtrip(self):
         text = (
             '{"n":2,"hamiltonian":{"couplings":[{"i":0,"j":1,"jx":1.0,"jy":1.0,"jz":0.0}]},'

@@ -271,7 +271,7 @@ class TestReferenceProducts:
 
 
 class TestOneTermProducts:
-    """A one-term factor is a signed relabel; it must equal the step-by-step products bit for bit."""
+    """A one-term factor maps words one to one; the products must equal the references bit for bit."""
 
     # coefficients of the one-term factor, signed zeros among their parts; each
     # is below 1, so that the other factor's near-cut coefficients are not pruned
